@@ -50,7 +50,6 @@ daemon:
   --host H          bind address (default 127.0.0.1)
   --port N          TCP port; 0 = ephemeral, printed on stdout (default 0)
   --cache N         layout-cache capacity in entries (default 64)
-  --jobs N          BatchRunner lanes per request (default: pool size)
   --verbose         per-request log lines on stderr
   --cache-dir PATH  durable cache directory: valid entries are loaded at
                     boot (corrupt files quarantined, never fatal), every
@@ -72,7 +71,6 @@ daemon:
                         0 = none (default 0)
   --worker-wall-ms N    fork mode: supervisor wall deadline per worker;
                         a hung child is SIGKILLed (default 30000)
-  --no-hedging          fork mode: disable p99-EWMA hedged execution
 
 client subcommands (first argument; all take --host/--port and
   --retries N  retry attempts for transient overloaded/timeout (default 3)):
@@ -152,8 +150,6 @@ void print_stats(const StatsReply& s) {
             << "worker_crashes " << s.worker_crashes << "\n"
             << "worker_oom_kills " << s.worker_oom_kills << "\n"
             << "worker_timeouts " << s.worker_timeouts << "\n"
-            << "hedges_launched " << s.hedges_launched << "\n"
-            << "hedge_wins " << s.hedge_wins << "\n"
             << "workers_recycled " << s.workers_recycled << "\n";
 }
 
@@ -310,8 +306,6 @@ int main(int argc, char** argv) {
       // Undocumented crash-test knob: stretches the atomic-write window
       // so a kill -9 deterministically lands mid-flush.
       serve_opt.cache_write_delay_ms = static_cast<int>(numeric_value(60'000));
-    } else if (arg == "--jobs") {
-      serve_opt.jobs = numeric_value(1024);
     } else if (arg == "--verbose") {
       serve_opt.verbose = true;
     } else if (arg == "--max-sessions") {
@@ -340,8 +334,6 @@ int main(int argc, char** argv) {
       serve_opt.worker_cpu_s = static_cast<int>(numeric_value(86'400));
     } else if (arg == "--worker-wall-ms") {
       serve_opt.worker_wall_ms = static_cast<int>(numeric_value(86'400'000));
-    } else if (arg == "--no-hedging") {
-      serve_opt.worker_hedging = false;
     } else if (arg == "--retries") {
       common.retries = static_cast<int>(numeric_value(100));
     } else if (arg == "--topology") {

@@ -38,14 +38,17 @@
 #include <thread>
 #include <vector>
 
+#include "core/output_version.h"
+
 namespace qgdp {
 
 struct CacheStoreOptions {
   std::string dir;  ///< directory for entry files (created if absent)
-  /// Format fingerprint stamped into every file header. Entries whose
-  /// fingerprint differs (a stale layout/key schema) are quarantined
-  /// on load instead of being served.
-  std::string fingerprint{"qlay=1;key=1"};
+  /// Format fingerprint stamped into every file header: the layout and
+  /// key schemas plus kOutputVersion. Entries whose fingerprint differs
+  /// (a stale schema, or layouts from code with other outputs) are
+  /// quarantined on load instead of being served.
+  std::string fingerprint{"qlay=1;key=1;out=" + std::to_string(kOutputVersion)};
   bool fsync{true};        ///< fsync file + directory on every write
   int write_delay_ms{0};   ///< test knob: sleep between temp write and rename
 };

@@ -212,8 +212,8 @@ struct StatsReply {
   std::uint64_t worker_crashes{0};    ///< signal / nonzero-exit / garbled reply
   std::uint64_t worker_oom_kills{0};  ///< RLIMIT_AS breaches (code 14)
   std::uint64_t worker_timeouts{0};   ///< wall-deadline / RLIMIT_CPU kills
-  std::uint64_t hedges_launched{0};   ///< backup workers started past the hedge delay
-  std::uint64_t hedge_wins{0};        ///< requests where the backup finished first
+  std::uint64_t hedges_launched{0};   ///< retired with hedged execution; always 0
+  std::uint64_t hedge_wins{0};        ///< retired with hedged execution; always 0
   std::uint64_t workers_recycled{0};  ///< crashed slots replaced with fresh ones
 };
 

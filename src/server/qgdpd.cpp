@@ -12,12 +12,12 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <new>
 #include <optional>
 #include <sstream>
 
-#include "core/incremental.h"
 #include "io/serialization.h"
-#include "runtime/batch_runner.h"
+#include "server/executor.h"
 #include "server/socket_io.h"
 #include "server/validation.h"
 
@@ -101,13 +101,12 @@ bool Qgdpd::start(std::string* error) {
   std::signal(SIGPIPE, SIG_IGN);
   if (opt_.isolation == Isolation::kFork) {
     WorkerPoolOptions wopt;
-    // One slot per admitted cold place plus one for a hedge; without
-    // an in-flight cap, fall back to a small fixed fleet.
-    wopt.max_workers = opt_.max_inflight_places > 0 ? opt_.max_inflight_places + 1 : 9;
+    // One slot per admitted cold place; without an in-flight cap, fall
+    // back to a small fixed fleet.
+    wopt.max_workers = opt_.max_inflight_places > 0 ? opt_.max_inflight_places : 8;
     wopt.limits.max_rss_mb = opt_.worker_max_rss_mb;
     wopt.limits.cpu_s = opt_.worker_cpu_s;
     wopt.limits.wall_timeout_ms = opt_.worker_wall_ms;
-    wopt.hedging = opt_.worker_hedging;
     wopt.faults = opt_.faults;
     wopt.verbose = opt_.verbose;
     workers_ = std::make_unique<WorkerPool>(wopt);
@@ -325,6 +324,11 @@ std::string Qgdpd::internal_error_frame(const std::string& message) {
   return error_frame(StatusCode::kInternalError, message);
 }
 
+std::string Qgdpd::outcome_error_frame(const ErrorReply& error) {
+  if (error.status == StatusCode::kInternalError) return internal_error_frame(error.message);
+  return error_frame(error.status, error.message);
+}
+
 std::string Qgdpd::handle_frame(Session& session, FrameType type, const std::string& payload,
                                 bool* shutdown) {
   *shutdown = false;
@@ -374,39 +378,40 @@ std::string Qgdpd::handle_place(Session& session, const std::string& payload) {
     validation_rejects_.fetch_add(1);
     return error_frame(vr.status, vr.message);
   }
-  const auto kind = flow_by_name(req->flow);
-  if (!kind) return error_frame(StatusCode::kUnknownFlow, req->flow);
-  const auto spec = topology_by_name(req->topology);
-  if (!spec) return error_frame(StatusCode::kUnknownTopology, req->topology);
-
-  PlaceReply rep;
-  rep.cache_key = layout_cache_key(*spec, req->flow, req->seed, options_fingerprint(*req));
-  rep.qubits = static_cast<std::size_t>(spec->qubit_count);
+  BatchJob job;
+  if (const ErrorReply err = resolve_place(*req, &job); err.status != StatusCode::kOk) {
+    return error_frame(err.status, err.message);
+  }
+  const std::string cache_key =
+      layout_cache_key(job.spec, req->flow, req->seed, options_fingerprint(*req));
 
   if (req->use_cache) {
-    if (auto hit = cache_.get(rep.cache_key)) {
+    if (auto hit = cache_.get(cache_key)) {
       // Warm path: answer from the cached bytes; the session adopts
       // the layout lazily (no parse unless an eco edit arrives).
       // Warm hits are never shed — they cost microseconds, so the
       // cold-place cap does not apply here.
+      PlaceReply rep;
       rep.cached = true;
+      rep.cache_key = cache_key;
+      rep.qubits = static_cast<std::size_t>(job.spec.qubit_count);
       rep.blocks = qlay_count(*hit, "blocks");
       rep.layout_hash = hex64(fnv1a64(*hit));
       session.has_layout = true;
       session.materialized = false;
       session.grid.reset();
       session.layout_payload = std::move(*hit);
-      session.cache_key = rep.cache_key;
+      session.cache_key = cache_key;
       {
         std::lock_guard<std::mutex> lock(spacing_mutex_);
-        const auto it = spacing_by_key_.find(rep.cache_key);
+        const auto it = spacing_by_key_.find(cache_key);
         session.spacing = it != spacing_by_key_.end() ? it->second : 1.0;
       }
       if (req->want_layout) rep.layout = session.layout_payload;
       rep.place_ms = ms_since(t0);
       if (opt_.verbose) {
         std::cerr << "qgdpd: place " << req->topology << '/' << req->flow << " hit "
-                  << rep.cache_key << " in " << rep.place_ms << " ms\n";
+                  << cache_key << " in " << rep.place_ms << " ms\n";
       }
       return encode_frame(FrameType::kPlaceReply, format_place_reply(rep));
     }
@@ -428,78 +433,33 @@ std::string Qgdpd::handle_place(Session& session, const std::string& payload) {
     }
   }
 
-  // Cold path. Both branches end with the same (text, spacing, reply
-  // stats) so the banking tail below is isolation-agnostic — and byte
-  // identity between them is pinned by the differential tests.
-  std::string text;
-  double spacing = 0.0;
-  std::optional<QuantumNetlist> placed;  ///< in-process only: live netlist
+  // Cold path: the executor runs here or, under fork isolation, in a
+  // sandboxed child whose death comes back as a typed 13/14 error. The
+  // InflightGuard above releases the admission slot on every path.
+  PlaceOutcome out;
   if (workers_) {
-    // Fork isolation: the run happens in a sandboxed child; its death
-    // becomes a typed 13/14 error frame on this live session, and the
-    // InflightGuard above decrements the cold-place gauge on every
-    // path — an isolated crash never leaks an admission slot.
-    WorkerResult w = workers_->run_place(*req, rep.cache_key, rep.qubits);
-    if (w.status != StatusCode::kOk) return error_frame(w.status, w.message);
-    if (w.reply_type == FrameType::kErrorReply) {
-      // The child ran to completion and reports a typed pipeline
-      // error (kPlacementFailed, ...): pass it through unchanged.
-      const auto err = parse_error_reply(w.reply_payload);
-      if (!err) return internal_error_frame("unparseable worker error reply");
-      return error_frame(err->status, err->message);
-    }
-    const auto wrep = parse_place_reply(w.reply_payload);
-    if (!wrep) return internal_error_frame("unparseable worker place reply");
-    text = std::move(w.layout);
-    spacing = w.spacing;
-    rep.blocks = wrep->blocks;
-    rep.layout_hash = wrep->layout_hash;
-    rep.gp_ms = wrep->gp_ms;
-    rep.qubit_ms = wrep->qubit_ms;
-    rep.resonator_ms = wrep->resonator_ms;
-    rep.dp_ms = wrep->dp_ms;
+    out = workers_->place(*req, cache_key);
   } else {
-    // In-process: one BatchRunner job. A single job runs inline on
-    // this session thread, so concurrent sessions place concurrently
-    // while sharing the process-wide pool for any intra-job
-    // parallelism.
-    BatchJob job;
-    job.spec = *spec;
-    job.kind = *kind;
-    job.gp_seed = req->seed;
-    job.gp_levels = req->gp_levels;
-    job.run_detailed = req->run_detailed;
-    BatchOptions bopt;
-    bopt.jobs = opt_.jobs;
-    std::vector<BatchResult> results;
     try {
-      results = BatchRunner(bopt).run({job});
-    } catch (const std::exception& e) {
+      out = execute_place(job);
+    } catch (const std::bad_alloc& e) {
+      // In-process, running out of memory is a pipeline failure like
+      // any other; only a worker child turns it into its typed OOM exit.
       return error_frame(StatusCode::kPlacementFailed, e.what());
     }
-    BatchResult& res = results.front();
-
-    std::ostringstream qlay;
-    write_layout(res.netlist, qlay);
-    text = qlay.str();
-    rep.blocks = res.netlist.block_count();
-    rep.layout_hash = hex64(fnv1a64(text));
-    rep.gp_ms = res.stats.gp_ms;
-    rep.qubit_ms = res.stats.qubit_ms;
-    rep.resonator_ms = res.stats.resonator_ms;
-    rep.dp_ms = res.stats.dp_ms;
-    spacing = quantum_flow(*kind) ? res.stats.qubit.spacing_used : 0.0;
-    placed = std::move(res.netlist);
   }
+  if (out.error.status != StatusCode::kOk) return outcome_error_frame(out.error);
+  PlaceReply& rep = out.reply;
+  rep.cache_key = cache_key;
   if (req->use_cache) {
-    cache_.put(rep.cache_key, text);
+    cache_.put(cache_key, out.text);
     {
       std::lock_guard<std::mutex> lock(spacing_mutex_);
-      spacing_by_key_[rep.cache_key] = spacing;
+      spacing_by_key_[cache_key] = out.spacing;
     }
     // Durable tier: queue an atomic background write — the reply never
     // waits on disk; stop() flushes what is still pending.
-    if (store_) store_->enqueue({rep.cache_key, spacing, text});
+    if (store_) store_->enqueue({cache_key, out.spacing, out.text});
   }
 
   // Wall-budget check sits after the cache fill on purpose: an
@@ -513,22 +473,22 @@ std::string Qgdpd::handle_place(Session& session, const std::string& payload) {
                            " ms); result banked in the layout cache");
   }
 
-  // The session keeps the materialized netlist when the place ran
-  // in-process — a follow-up eco edit starts from the live state, not
-  // a reparse. A fork-isolated place hands back text only; the session
-  // stays parse-free until an eco edit actually needs the netlist.
+  // The session keeps the live netlist when the place ran in-process —
+  // a follow-up eco edit starts from it, not a reparse. A fork-isolated
+  // place hands back text only; the session stays parse-free until an
+  // eco edit actually needs the netlist.
   session.has_layout = true;
-  session.materialized = placed.has_value();
-  if (placed) session.nl = std::move(*placed);
+  session.materialized = out.netlist.has_value();
+  if (out.netlist) session.nl = std::move(*out.netlist);
   session.grid.reset();
-  session.layout_payload = std::move(text);
-  session.cache_key = rep.cache_key;
-  session.spacing = spacing;
+  session.layout_payload = std::move(out.text);
+  session.cache_key = cache_key;
+  session.spacing = out.spacing;
   if (req->want_layout) rep.layout = session.layout_payload;
   rep.place_ms = ms_since(t0);
   if (opt_.verbose) {
-    std::cerr << "qgdpd: place " << req->topology << '/' << req->flow << " cold "
-              << rep.cache_key << " in " << rep.place_ms << " ms\n";
+    std::cerr << "qgdpd: place " << req->topology << '/' << req->flow << " cold " << cache_key
+              << " in " << rep.place_ms << " ms\n";
   }
   return encode_frame(FrameType::kPlaceReply, format_place_reply(rep));
 }
@@ -542,9 +502,11 @@ std::string Qgdpd::handle_eco(Session& session, const std::string& payload) {
     return error_frame(StatusCode::kBadRequest, "unparseable eco request");
   }
   // Semantic validation before any session state is touched: NaN/Inf
-  // targets and duplicate qubits are rejected here, and out-of-fabric
-  // targets are rejected against the die parsed straight from the
-  // layout text — a warm session stays parse-free even for a reject.
+  // targets and duplicate qubits are rejected here; out-of-range qubit
+  // ids and out-of-fabric targets are rejected against the qubit count
+  // and die read straight from the layout text — a warm session stays
+  // parse-free even for a reject, and the executor only ever sees
+  // valid moves.
   if (const ValidationResult vr = validate_eco_request(*req); !vr.ok()) {
     validation_rejects_.fetch_add(1);
     return error_frame(vr.status, vr.message);
@@ -553,125 +515,54 @@ std::string Qgdpd::handle_eco(Session& session, const std::string& payload) {
     return error_frame(StatusCode::kNoLayout, "eco before place on this session");
   }
   {
+    const std::size_t qubits = session.materialized
+                                   ? session.nl.qubit_count()
+                                   : qlay_count(session.layout_payload, "qubits");
+    ValidationResult vr = validate_eco_qubits(*req, qubits);
     const std::optional<Rect> die = session.materialized
                                         ? std::optional<Rect>(session.nl.die())
                                         : qlay_die(session.layout_payload);
-    if (die) {
-      const ValidationResult vr =
-          validate_eco_targets_in_fabric(*req, *die, EcoOptions{}.search_radius);
-      if (!vr.ok()) {
-        validation_rejects_.fetch_add(1);
-        return error_frame(vr.status, vr.message);
-      }
+    if (vr.ok() && die) vr = validate_eco_targets_in_fabric(*req, *die, EcoOptions{}.search_radius);
+    if (!vr.ok()) {
+      validation_rejects_.fetch_add(1);
+      return error_frame(vr.status, vr.message);
     }
   }
+
+  // The edit runs here against the session's live netlist, or under
+  // fork isolation in a sandboxed child against the layout text (the
+  // session then stays text-authoritative and never materializes).
+  EcoOutcome out;
   if (workers_) {
-    // Fork isolation: the edit runs in a sandboxed child against the
-    // warm layout text (shipped over the pipe as a checksummed .qlc
-    // entry); the session stays text-authoritative and parse-free.
-    WorkerResult w = workers_->run_eco(*req, session.layout_payload, session.spacing,
-                                       qlay_count(session.layout_payload, "qubits"));
-    if (w.status != StatusCode::kOk) return error_frame(w.status, w.message);
-    if (w.reply_type == FrameType::kErrorReply) {
-      const auto err = parse_error_reply(w.reply_payload);
-      if (!err) return internal_error_frame("unparseable worker error reply");
-      // Parity with the in-process path's counters: an out-of-range
-      // qubit is a validation reject whichever side detected it.
-      if (err->status == StatusCode::kBadRequest) validation_rejects_.fetch_add(1);
-      return error_frame(err->status, err->message);
+    out = workers_->eco(*req, session.layout_payload, session.spacing);
+  } else {
+    if (!session.materialized) {
+      std::istringstream is(session.layout_payload);
+      session.nl = read_layout(is);
+      session.materialized = true;
     }
-    const auto wrep = parse_eco_reply(w.reply_payload);
-    if (!wrep) return internal_error_frame("unparseable worker eco reply");
-    EcoReply rep = *wrep;
-    rep.layout.clear();  // the child's body is the .qlc entry, not a .qlay
-    if (!rep.success) {
-      rep.eco_ms = ms_since(t0);
-      return encode_frame(FrameType::kEcoReply, format_eco_reply(rep));
-    }
-    session.layout_payload = std::move(w.layout);
-    session.materialized = false;
-    session.grid.reset();
+    if (!session.grid) session.grid.emplace(IncrementalLegalizer::grid_for(session.nl));
+    out = execute_eco(*req, session.nl, *session.grid, session.spacing);
+  }
+  if (out.error.status != StatusCode::kOk) return outcome_error_frame(out.error);
+  EcoReply& rep = out.reply;
+  if (!rep.success) {
+    rep.layout_hash = hex64(fnv1a64(session.layout_payload));  // unchanged
+  } else {
+    session.layout_payload = std::move(out.text);
+    // An over-budget eco already landed (the session layout is the
+    // post-edit state), so the reply stays a typed eco reply — with
+    // status kTimeout so a latency-sensitive client knows the budget
+    // was blown, and the diagnostics/hash so it knows what it now has.
     if (opt_.place_budget_ms > 0 && ms_since(t0) > opt_.place_budget_ms) {
       timeouts_.fetch_add(1);
       rep.status = StatusCode::kTimeout;
     }
     if (req->want_layout) rep.layout = session.layout_payload;
-    rep.eco_ms = ms_since(t0);
-    if (opt_.verbose) {
-      std::cerr << "qgdpd: eco " << req->moves.size() << " moves, " << rep.replaced_blocks
-                << " blocks replaced in " << rep.eco_ms << " ms (isolated)\n";
-    }
-    return encode_frame(FrameType::kEcoReply, format_eco_reply(rep));
   }
-
-  if (!session.materialized) {
-    std::istringstream is(session.layout_payload);
-    session.nl = read_layout(is);
-    session.materialized = true;
-  }
-  if (!session.grid) session.grid.emplace(IncrementalLegalizer::grid_for(session.nl));
-
-  std::vector<QubitMove> moves;
-  moves.reserve(req->moves.size());
-  for (const EcoMove& m : req->moves) {
-    if (m.qubit < 0 || static_cast<std::size_t>(m.qubit) >= session.nl.qubit_count()) {
-      validation_rejects_.fetch_add(1);
-      return error_frame(StatusCode::kBadRequest,
-                         "qubit " + std::to_string(m.qubit) + " out of range");
-    }
-    moves.push_back({m.qubit, Point{m.x, m.y}});
-  }
-
-  EcoOptions eopt;
-  eopt.min_spacing = session.spacing;
-  eopt.policy = req->policy == "baa" ? EcoOptions::BlockPolicy::kBaa
-                                     : EcoOptions::BlockPolicy::kAbacusWindow;
-  const EcoResult res = IncrementalLegalizer(eopt).move_qubits(session.nl, *session.grid, moves);
-
-  EcoReply rep;
-  rep.success = res.success;
-  rep.ripped_blocks = res.ripped_blocks;
-  rep.replaced_blocks = res.replaced_blocks;
-  rep.edges_touched = res.edges_touched;
-  rep.window_violations = res.window_violations;
-  rep.grid_bins_touched = res.grid_bins_touched;
-  rep.window_growths = res.window_growths;
-  rep.window[0] = res.dirty_window.lo.x;
-  rep.window[1] = res.dirty_window.lo.y;
-  rep.window[2] = res.dirty_window.hi.x;
-  rep.window[3] = res.dirty_window.hi.y;
-  if (!res.success) {
-    // An over-constrained move batch is a protocol-level error, not an
-    // eco reply: the move never landed, so there are no dirty-window
-    // diagnostics to carry, and a client gating only on `success`
-    // could otherwise mistake the echoed (unchanged) layout for a
-    // serviced edit.
-    if (res.failure == EcoResult::Failure::kQubitInfeasible) {
-      return error_frame(StatusCode::kSolverInfeasible,
-                         "no legal spot for a moved qubit within the search radius");
-    }
-    rep.status = StatusCode::kEcoFailed;
-    rep.layout_hash = hex64(fnv1a64(session.layout_payload));  // unchanged
-    rep.eco_ms = ms_since(t0);
-    return encode_frame(FrameType::kEcoReply, format_eco_reply(rep));
-  }
-
-  std::ostringstream qlay;
-  write_layout(session.nl, qlay);
-  session.layout_payload = qlay.str();
-  rep.layout_hash = hex64(fnv1a64(session.layout_payload));
-  // An over-budget eco already landed (the session layout is the
-  // post-edit state), so the reply stays a typed eco reply — with
-  // status kTimeout so a latency-sensitive client knows the budget
-  // was blown, and the diagnostics/hash so it knows what it now has.
-  if (opt_.place_budget_ms > 0 && ms_since(t0) > opt_.place_budget_ms) {
-    timeouts_.fetch_add(1);
-    rep.status = StatusCode::kTimeout;
-  }
-  if (req->want_layout) rep.layout = session.layout_payload;
   rep.eco_ms = ms_since(t0);
   if (opt_.verbose) {
-    std::cerr << "qgdpd: eco " << moves.size() << " moves, " << res.replaced_blocks
+    std::cerr << "qgdpd: eco " << req->moves.size() << " moves, " << rep.replaced_blocks
               << " blocks replaced in " << rep.eco_ms << " ms\n";
   }
   return encode_frame(FrameType::kEcoReply, format_eco_reply(rep));
@@ -704,8 +595,6 @@ std::string Qgdpd::handle_stats() {
     rep.worker_crashes = wc.worker_crashes;
     rep.worker_oom_kills = wc.worker_oom_kills;
     rep.worker_timeouts = wc.worker_timeouts;
-    rep.hedges_launched = wc.hedges_launched;
-    rep.hedge_wins = wc.hedge_wins;
     rep.workers_recycled = wc.workers_recycled;
   }
   const LayoutCacheStats cs = cache_.stats();

@@ -8,16 +8,16 @@
 // never rebuilds what it already has:
 //
 //   place     resolve topology → content-addressed cache probe →
-//             on miss, run the full pipeline through
-//             runtime::BatchRunner (sessions share the process-wide
-//             ThreadPool; a single job runs inline on the session
-//             thread, so concurrent sessions place concurrently) →
-//             serialize, cache, reply. On hit, reply straight from the
-//             cache — the netlist/grid are materialized lazily only if
-//             an eco edit arrives later.
-//   eco       apply a batch of qubit moves via IncrementalLegalizer
-//             (Abacus-window policy by default), re-serialize, reply
-//             with the dirty-window stats.
+//             on miss, execute_place (server/executor.h) runs the full
+//             pipeline inline on the session thread (sessions share
+//             the process-wide ThreadPool, so concurrent sessions
+//             place concurrently) → cache, reply. On hit, reply
+//             straight from the cache — the netlist/grid are
+//             materialized lazily only if an eco edit arrives later.
+//   eco       validate the moves against the session layout, then
+//             execute_eco applies them via IncrementalLegalizer
+//             (Abacus-window policy by default), re-serializes, and
+//             the reply carries the dirty-window stats.
 //   stats     daemon counters + cache hit/miss/occupancy.
 //   shutdown  reply, then drain: stop accepting, unblock sessions.
 //
@@ -72,7 +72,8 @@
 
 namespace qgdp::server {
 
-/// Where cold places and eco edits execute.
+/// Where cold places and eco edits execute. Both modes run the same
+/// executor functions; kFork only adds the process boundary.
 enum class Isolation {
   kNone,  ///< in-process, on the session thread (the default)
   kFork,  ///< in a sandboxed forked worker (server/worker_pool.h)
@@ -82,7 +83,6 @@ struct QgdpdOptions {
   std::string host{"127.0.0.1"};
   std::uint16_t port{0};          ///< 0 = ephemeral (read back via port())
   std::size_t cache_entries{64};  ///< layout-cache capacity
-  std::size_t jobs{0};            ///< BatchRunner lanes per request (0 = pool)
   bool verbose{false};            ///< per-request log lines on stderr
 
   // ---- durability ----------------------------------------------------
@@ -110,7 +110,6 @@ struct QgdpdOptions {
   std::size_t worker_max_rss_mb{0};  ///< RLIMIT_AS growth cap (0 = none)
   int worker_cpu_s{0};               ///< RLIMIT_CPU cap (0 = none)
   int worker_wall_ms{30'000};        ///< supervisor deadline per run (0 = none)
-  bool worker_hedging{true};         ///< p99-EWMA hedged execution
 };
 
 class Qgdpd {
@@ -171,6 +170,9 @@ class Qgdpd {
   [[nodiscard]] std::string handle_eco(Session& session, const std::string& payload);
   [[nodiscard]] std::string handle_stats();
   [[nodiscard]] std::string internal_error_frame(const std::string& message);
+  /// The error frame for a failed executor outcome; a kInternalError
+  /// counts in internal_errors whichever side raised it.
+  [[nodiscard]] std::string outcome_error_frame(const ErrorReply& error);
   /// Flags shutdown and closes the listener so accept() returns; the
   /// caller's session loop exits on its own. Joining happens in stop().
   void initiate_shutdown();

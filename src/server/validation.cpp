@@ -52,6 +52,15 @@ ValidationResult validate_eco_request(const EcoRequest& req) {
   return ValidationResult::accept();
 }
 
+ValidationResult validate_eco_qubits(const EcoRequest& req, std::size_t qubit_count) {
+  for (const EcoMove& m : req.moves) {
+    if (static_cast<std::size_t>(m.qubit) >= qubit_count) {
+      return ValidationResult::reject("qubit " + std::to_string(m.qubit) + " out of range");
+    }
+  }
+  return ValidationResult::accept();
+}
+
 ValidationResult validate_eco_targets_in_fabric(const EcoRequest& req, const Rect& die,
                                                 double slack) {
   const Rect fabric{die.lo.x - slack, die.lo.y - slack, die.hi.x + slack, die.hi.y + slack};

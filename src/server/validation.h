@@ -11,6 +11,7 @@
 // full table of which layer rejects what.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -40,6 +41,11 @@ struct ValidationResult {
 /// duplicate qubit targets, non-negative qubit ids. (Move-count bounds
 /// are already a parse-level reject.)
 [[nodiscard]] ValidationResult validate_eco_request(const EcoRequest& req);
+
+/// Range check: every moved qubit id must name one of the session
+/// layout's `qubit_count` qubits.
+[[nodiscard]] ValidationResult validate_eco_qubits(const EcoRequest& req,
+                                                   std::size_t qubit_count);
 
 /// Fabric check: every move target must land inside the session's die
 /// inflated by `slack` (the ECO search radius — a target the solver

@@ -8,23 +8,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <new>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "core/incremental.h"
 #include "io/serialization.h"
 #include "netlist/topologies.h"
-#include "runtime/batch_runner.h"
 #include "runtime/thread_pool.h"
 #include "server/cache_store.h"
 
@@ -200,123 +195,62 @@ void apply_fault_directive(const std::string& fault, const WorkerLimits& limits)
   ::_exit(detail::kWorkerExitOk);
 }
 
-[[noreturn]] void child_error_and_exit(int reply_fd, StatusCode code, std::string message) {
-  ErrorReply rep;
-  rep.status = code;
-  rep.message = std::move(message);
-  child_reply_and_exit(reply_fd, FrameType::kErrorReply, format_error_reply(rep));
+[[noreturn]] void child_error_and_exit(int reply_fd, const ErrorReply& error) {
+  child_reply_and_exit(reply_fd, FrameType::kErrorReply, format_error_reply(error));
 }
+
+// The child is a transport around the executor: decode the request,
+// run the same function the in-process path runs, encode the outcome.
+// A std::bad_alloc anywhere propagates to worker_child_main's OOM exit.
 
 [[noreturn]] void child_place(int reply_fd, const std::string& payload) {
   const auto req = parse_place_request(payload);
-  if (!req) child_error_and_exit(reply_fd, StatusCode::kBadRequest, "unparseable worker place");
-  const auto kind = flow_by_name(req->flow);
-  if (!kind) child_error_and_exit(reply_fd, StatusCode::kUnknownFlow, req->flow);
-  const auto spec = topology_by_name(req->topology);
-  if (!spec) child_error_and_exit(reply_fd, StatusCode::kUnknownTopology, req->topology);
-  const std::string key = header_value(payload, "w_key");
-
+  if (!req) child_error_and_exit(reply_fd, {StatusCode::kBadRequest, "unparseable worker place"});
   BatchJob job;
-  job.spec = *spec;
-  job.kind = *kind;
-  job.gp_seed = req->seed;
-  job.gp_levels = req->gp_levels;
-  job.run_detailed = req->run_detailed;
-  BatchResult res;
-  try {
-    res = run_batch_job(job);
-  } catch (const std::bad_alloc&) {
-    ::_exit(detail::kWorkerExitOom);
-  } catch (const std::exception& e) {
-    child_error_and_exit(reply_fd, StatusCode::kPlacementFailed, e.what());
+  if (const ErrorReply err = resolve_place(*req, &job); err.status != StatusCode::kOk) {
+    child_error_and_exit(reply_fd, err);
   }
-
-  std::ostringstream qlay;
-  write_layout(res.netlist, qlay);
-  const std::string text = qlay.str();
-  const double spacing = quantum_flow(*kind) ? res.stats.qubit.spacing_used : 0.0;
-
-  PlaceReply rep;
-  rep.cache_key = key;
-  rep.qubits = static_cast<std::size_t>(spec->qubit_count);
-  rep.blocks = res.netlist.block_count();
-  rep.layout_hash = hex64(fnv1a64(text));
-  rep.gp_ms = res.stats.gp_ms;
-  rep.qubit_ms = res.stats.qubit_ms;
-  rep.resonator_ms = res.stats.resonator_ms;
-  rep.dp_ms = res.stats.dp_ms;
+  const PlaceOutcome out = execute_place(job);
+  if (out.error.status != StatusCode::kOk) child_error_and_exit(reply_fd, out.error);
+  PlaceReply rep = out.reply;
+  rep.cache_key = header_value(payload, "w_key");
   // The layout crosses the pipe as a checksummed .qlc entry, never as
   // raw text: a child dying mid-write leaves a torn body the parent
   // rejects by checksum instead of banking.
-  rep.layout = pipe_codec().encode_entry({key, spacing, text});
+  rep.layout = pipe_codec().encode_entry({rep.cache_key, out.spacing, out.text});
   child_reply_and_exit(reply_fd, FrameType::kPlaceReply, format_place_reply(rep));
 }
 
 [[noreturn]] void child_eco(int reply_fd, const std::string& payload) {
   const auto req = parse_eco_request(payload);
-  if (!req) child_error_and_exit(reply_fd, StatusCode::kBadRequest, "unparseable worker eco");
-  const std::string state_key = header_value(payload, "w_key");
+  if (!req) child_error_and_exit(reply_fd, {StatusCode::kBadRequest, "unparseable worker eco"});
   CacheStoreEntry state;
-  if (!pipe_codec().decode_entry(payload_body(payload), state_key, &state)) {
-    child_error_and_exit(reply_fd, StatusCode::kBadRequest, "torn warm-state hand-off");
+  if (!pipe_codec().decode_entry(payload_body(payload), header_value(payload, "w_key"), &state)) {
+    child_error_and_exit(reply_fd, {StatusCode::kBadRequest, "torn warm-state hand-off"});
   }
-
-  try {
-    std::istringstream is(state.payload);
-    QuantumNetlist nl = read_layout(is);
-    BinGrid grid = IncrementalLegalizer::grid_for(nl);
-
-    std::vector<QubitMove> moves;
-    moves.reserve(req->moves.size());
-    for (const EcoMove& m : req->moves) {
-      if (m.qubit < 0 || static_cast<std::size_t>(m.qubit) >= nl.qubit_count()) {
-        child_error_and_exit(reply_fd, StatusCode::kBadRequest,
-                             "qubit " + std::to_string(m.qubit) + " out of range");
-      }
-      moves.push_back({m.qubit, Point{m.x, m.y}});
-    }
-
-    EcoOptions eopt;
-    eopt.min_spacing = state.spacing;
-    eopt.policy = req->policy == "baa" ? EcoOptions::BlockPolicy::kBaa
-                                       : EcoOptions::BlockPolicy::kAbacusWindow;
-    const EcoResult res = IncrementalLegalizer(eopt).move_qubits(nl, grid, moves);
-
-    EcoReply rep;
-    rep.success = res.success;
-    rep.ripped_blocks = res.ripped_blocks;
-    rep.replaced_blocks = res.replaced_blocks;
-    rep.edges_touched = res.edges_touched;
-    rep.window_violations = res.window_violations;
-    rep.grid_bins_touched = res.grid_bins_touched;
-    rep.window_growths = res.window_growths;
-    rep.window[0] = res.dirty_window.lo.x;
-    rep.window[1] = res.dirty_window.lo.y;
-    rep.window[2] = res.dirty_window.hi.x;
-    rep.window[3] = res.dirty_window.hi.y;
-    if (!res.success) {
-      if (res.failure == EcoResult::Failure::kQubitInfeasible) {
-        child_error_and_exit(reply_fd, StatusCode::kSolverInfeasible,
-                             "no legal spot for a moved qubit within the search radius");
-      }
-      rep.status = StatusCode::kEcoFailed;
-      rep.layout_hash = hex64(fnv1a64(state.payload));  // unchanged
-      child_reply_and_exit(reply_fd, FrameType::kEcoReply, format_eco_reply(rep));
-    }
-
-    std::ostringstream qlay;
-    write_layout(nl, qlay);
-    const std::string text = qlay.str();
-    rep.layout_hash = hex64(fnv1a64(text));
+  std::istringstream is(state.payload);
+  QuantumNetlist nl = read_layout(is);
+  BinGrid grid = IncrementalLegalizer::grid_for(nl);
+  EcoOutcome out = execute_eco(*req, nl, grid, state.spacing);
+  if (out.error.status != StatusCode::kOk) child_error_and_exit(reply_fd, out.error);
+  if (out.reply.success) {
     // Keyed by its own content hash (announced in layout_hash) so the
     // parent can decode_entry with a checksum check.
-    rep.layout = pipe_codec().encode_entry({rep.layout_hash, state.spacing, text});
-    child_reply_and_exit(reply_fd, FrameType::kEcoReply, format_eco_reply(rep));
-  } catch (const std::bad_alloc&) {
-    ::_exit(detail::kWorkerExitOom);
-  } catch (const std::exception& e) {
-    child_error_and_exit(reply_fd, StatusCode::kInternalError, e.what());
+    out.reply.layout = pipe_codec().encode_entry({out.reply.layout_hash, state.spacing, out.text});
   }
+  child_reply_and_exit(reply_fd, FrameType::kEcoReply, format_eco_reply(out.reply));
+}
+
+/// The typed error a worker run ended in: the supervisor's 13/14, or
+/// the error frame the child replied with. kOk when the child replied
+/// with an `expect` frame.
+[[nodiscard]] ErrorReply worker_error(const WorkerResult& w, FrameType expect) {
+  if (w.status != StatusCode::kOk) return {w.status, w.message};
+  if (w.reply_type == expect) return {StatusCode::kOk, {}};
+  if (w.reply_type == FrameType::kErrorReply) {
+    if (auto err = parse_error_reply(w.reply_payload)) return *err;
+  }
+  return {StatusCode::kInternalError, "unparseable worker reply"};
 }
 
 // ---- parent-side pipe I/O -------------------------------------------
@@ -394,12 +328,12 @@ void worker_child_main(int request_fd, int reply_fd, const WorkerLimits& limits)
       case FrameType::kEcoRequest:
         child_eco(reply_fd, payload);
       default:
-        child_error_and_exit(reply_fd, StatusCode::kBadRequest, "unexpected worker frame type");
+        child_error_and_exit(reply_fd, {StatusCode::kBadRequest, "unexpected worker frame type"});
     }
   } catch (const std::bad_alloc&) {
     ::_exit(kWorkerExitOom);
   } catch (const std::exception& e) {
-    child_error_and_exit(reply_fd, StatusCode::kInternalError, e.what());
+    child_error_and_exit(reply_fd, {StatusCode::kInternalError, e.what()});
   } catch (...) {
     ::_exit(2);
   }
@@ -414,16 +348,7 @@ struct WorkerPool::Child {
   pid_t pid{-1};
   int reply_fd{-1};
   Clock::time_point forked_at;
-  Clock::time_point done_at;     ///< when the complete frame arrived
-  std::string buf;               ///< partial reply bytes
-  bool running{false};           ///< forked, not yet classified/reaped
-  bool frame_done{false};
-  bool failed{false};
-  bool deadline_killed{false};
-  FrameType reply_type{FrameType::kErrorReply};
-  std::string reply_payload;
-  StatusCode fail_status{StatusCode::kWorkerCrashed};
-  std::string fail_message;
+  std::string buf;  ///< reply bytes read so far
 };
 
 WorkerPool::WorkerPool(WorkerPoolOptions opt) : opt_(std::move(opt)) {
@@ -472,13 +397,6 @@ void WorkerPool::acquire_slot() {
   ++active_workers_;
 }
 
-bool WorkerPool::try_acquire_slot() {
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  if (active_workers_ >= opt_.max_workers) return false;
-  ++active_workers_;
-  return true;
-}
-
 void WorkerPool::release_slot() {
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
@@ -511,7 +429,6 @@ bool WorkerPool::spawn(const std::string& request_payload, FrameType request_typ
   child->pid = pid;
   child->reply_fd = rep_pipe[0];
   child->forked_at = Clock::now();
-  child->running = true;
   set_nonblocking(req_pipe[1]);
   set_nonblocking(child->reply_fd);
 
@@ -526,24 +443,38 @@ bool WorkerPool::spawn(const std::string& request_payload, FrameType request_typ
   return true;
 }
 
-void WorkerPool::kill_and_reap(Child* child) {
-  if (!child->running) return;
-  ::kill(child->pid, SIGKILL);
-  int st = 0;
-  (void)::waitpid(child->pid, &st, 0);
-  if (child->reply_fd >= 0) {
-    ::close(child->reply_fd);
-    child->reply_fd = -1;
+PlaceOutcome WorkerPool::place(const PlaceRequest& req, const std::string& cache_key) {
+  WorkerResult w = run_place(req, cache_key);
+  PlaceOutcome out;
+  out.error = worker_error(w, FrameType::kPlaceReply);
+  if (out.error.status == StatusCode::kOk) {
+    out.reply = *parse_place_reply(w.reply_payload);  // run_place validated it
+    out.reply.layout.clear();  // the child's body is the .qlc entry, not a .qlay
+    out.text = std::move(w.layout);
+    out.spacing = w.spacing;
   }
-  child->running = false;
+  return out;
+}
+
+EcoOutcome WorkerPool::eco(const EcoRequest& req, const std::string& layout_payload,
+                           double spacing) {
+  WorkerResult w = run_eco(req, layout_payload, spacing);
+  EcoOutcome out;
+  out.error = worker_error(w, FrameType::kEcoReply);
+  if (out.error.status == StatusCode::kOk) {
+    out.reply = *parse_eco_reply(w.reply_payload);  // run_eco validated it
+    out.reply.layout.clear();
+    out.text = std::move(w.layout);
+  }
+  return out;
 }
 
 WorkerResult WorkerPool::run_place(const PlaceRequest& req, const std::string& cache_key,
-                                   std::size_t qubits) {
+                                   std::size_t /*qubits*/) {
   std::ostringstream os;
   os << "w_key " << cache_key << "\nw_fault " << fault_directive() << '\n'
      << format_place_request(req);
-  WorkerResult res = run(os.str(), FrameType::kPlaceRequest, qubits);
+  WorkerResult res = run(os.str(), FrameType::kPlaceRequest);
   if (res.status == StatusCode::kOk && res.reply_type == FrameType::kPlaceReply) {
     // Validate the hand-off before anyone banks it: the layout rides
     // in a checksummed .qlc entry keyed by the cache key.
@@ -559,13 +490,13 @@ WorkerResult WorkerPool::run_place(const PlaceRequest& req, const std::string& c
 }
 
 WorkerResult WorkerPool::run_eco(const EcoRequest& req, const std::string& layout_payload,
-                                 double spacing, std::size_t qubits) {
+                                 double spacing, std::size_t /*qubits*/) {
   const std::string state_key = hex64(fnv1a64(layout_payload));
   std::ostringstream os;
   os << "w_key " << state_key << "\nw_fault " << fault_directive() << '\n'
      << format_eco_request(req)
      << pipe_codec().encode_entry({state_key, spacing, layout_payload});
-  WorkerResult res = run(os.str(), FrameType::kEcoRequest, qubits);
+  WorkerResult res = run(os.str(), FrameType::kEcoRequest);
   if (res.status == StatusCode::kOk && res.reply_type == FrameType::kEcoReply) {
     const auto rep = parse_eco_reply(res.reply_payload);
     if (!rep) {
@@ -587,137 +518,50 @@ WorkerResult WorkerPool::run_eco(const EcoRequest& req, const std::string& layou
   return res;
 }
 
-WorkerResult WorkerPool::run(const std::string& request_payload, FrameType request_type,
-                             std::size_t qubits) {
-  // Bucket by log2(qubit count): hedge delays are meaningful only
-  // against runs of similar size.
-  std::size_t bucket = 0;
-  for (std::size_t q = qubits; q > 1; q >>= 1) ++bucket;
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-
-  // The hedge fires at ~p99 of this bucket: EWMA mean + 3 * EWMA
-  // absolute deviation, floored. Disabled until the bucket has seen
-  // enough completions to trust.
-  double hedge_delay_ms = -1.0;
-  if (opt_.hedging && opt_.max_workers >= 2) {
-    std::lock_guard<std::mutex> lock(ewma_mutex_);
-    const Bucket& b = buckets_[bucket];
-    if (b.samples >= opt_.hedge_min_samples) {
-      hedge_delay_ms = std::max(static_cast<double>(opt_.hedge_floor_ms),
-                                b.ewma_ms + 3.0 * b.ewma_dev_ms);
-    }
+void WorkerPool::classify_failure(int wait_status, bool deadline_killed,
+                                  WorkerResult* result) {
+  auto fail = [&](std::atomic<std::uint64_t>& counter, StatusCode code, std::string message) {
+    counter.fetch_add(1);
+    result->status = code;
+    result->message = std::move(message);
+  };
+  const int st = wait_status;
+  if (deadline_killed) {
+    fail(worker_timeouts_, StatusCode::kResourceExhausted,
+         "worker exceeded its wall deadline (" + std::to_string(opt_.limits.wall_timeout_ms) +
+             " ms) and was killed");
+  } else if (WIFEXITED(st) && WEXITSTATUS(st) == detail::kWorkerExitOom) {
+    fail(worker_oom_kills_, StatusCode::kResourceExhausted,
+         "worker hit its memory cap (" + std::to_string(opt_.limits.max_rss_mb) + " MB)");
+  } else if (WIFEXITED(st) && WEXITSTATUS(st) == detail::kWorkerExitOk) {
+    fail(worker_crashes_, StatusCode::kWorkerCrashed, "worker replied with a garbled frame");
+  } else if (WIFEXITED(st)) {
+    fail(worker_crashes_, StatusCode::kWorkerCrashed,
+         "worker exited with code " + std::to_string(WEXITSTATUS(st)) + " before replying");
+  } else if (WIFSIGNALED(st) && WTERMSIG(st) == SIGXCPU) {
+    fail(worker_timeouts_, StatusCode::kResourceExhausted,
+         "worker hit its CPU cap (" + std::to_string(opt_.limits.cpu_s) + " s)");
+  } else if (WIFSIGNALED(st) && WTERMSIG(st) == SIGKILL) {
+    // Our own SIGKILL lands only after the reply stream ended; an
+    // earlier, unsolicited one is the kernel OOM killer.
+    fail(worker_oom_kills_, StatusCode::kResourceExhausted, "worker was OOM-killed");
+  } else if (WIFSIGNALED(st)) {
+    fail(worker_crashes_, StatusCode::kWorkerCrashed,
+         std::string("worker killed by ") + strsignal(WTERMSIG(st)));
+  } else {
+    fail(worker_crashes_, StatusCode::kWorkerCrashed, "worker ended in an unrecognized state");
   }
+  workers_recycled_.fetch_add(1);
+  if (opt_.verbose) {
+    std::cerr << "worker_pool: " << to_string(result->status) << ": " << result->message << "\n";
+  }
+}
 
-  acquire_slot();
-  std::size_t slots_held = 1;
-  Child primary;
-  Child backup;
+WorkerResult WorkerPool::run(const std::string& request_payload, FrameType request_type) {
   WorkerResult result;
-
-  auto classify_failure = [&](Child& c) {
-    // The child produced no (usable) reply; the truth is in its exit
-    // status. Reap exactly once.
-    if (c.reply_fd >= 0) {
-      ::close(c.reply_fd);
-      c.reply_fd = -1;
-    }
-    int st = 0;
-    if (c.deadline_killed) {
-      (void)::waitpid(c.pid, &st, 0);
-      worker_timeouts_.fetch_add(1);
-      c.fail_status = StatusCode::kResourceExhausted;
-      c.fail_message = "worker exceeded its wall deadline (" +
-                       std::to_string(opt_.limits.wall_timeout_ms) + " ms) and was killed";
-    } else {
-      // Not killed by us: the child is already dead (EOF) or about to
-      // be (garbled reply) — make sure, then reap.
-      ::kill(c.pid, SIGKILL);
-      (void)::waitpid(c.pid, &st, 0);
-      if (WIFEXITED(st)) {
-        const int code = WEXITSTATUS(st);
-        if (code == detail::kWorkerExitOom) {
-          worker_oom_kills_.fetch_add(1);
-          c.fail_status = StatusCode::kResourceExhausted;
-          c.fail_message = "worker hit its memory cap (" +
-                           std::to_string(opt_.limits.max_rss_mb) + " MB)";
-        } else if (code == detail::kWorkerExitOk) {
-          worker_crashes_.fetch_add(1);
-          c.fail_status = StatusCode::kWorkerCrashed;
-          c.fail_message = "worker replied with a garbled frame";
-        } else {
-          worker_crashes_.fetch_add(1);
-          c.fail_status = StatusCode::kWorkerCrashed;
-          c.fail_message = "worker exited with code " + std::to_string(code) + " before replying";
-        }
-      } else if (WIFSIGNALED(st)) {
-        const int sig = WTERMSIG(st);
-        if (sig == SIGXCPU) {
-          worker_timeouts_.fetch_add(1);
-          c.fail_status = StatusCode::kResourceExhausted;
-          c.fail_message =
-              "worker hit its CPU cap (" + std::to_string(opt_.limits.cpu_s) + " s)";
-        } else if (sig == SIGKILL) {
-          // We only SIGKILL on the deadline path above; an unsolicited
-          // SIGKILL is the kernel OOM killer.
-          worker_oom_kills_.fetch_add(1);
-          c.fail_status = StatusCode::kResourceExhausted;
-          c.fail_message = "worker was OOM-killed";
-        } else {
-          worker_crashes_.fetch_add(1);
-          c.fail_status = StatusCode::kWorkerCrashed;
-          c.fail_message = std::string("worker killed by ") + strsignal(sig);
-        }
-      } else {
-        worker_crashes_.fetch_add(1);
-        c.fail_status = StatusCode::kWorkerCrashed;
-        c.fail_message = "worker ended in an unrecognized state";
-      }
-    }
-    workers_recycled_.fetch_add(1);
-    c.running = false;
-    c.failed = true;
-    if (opt_.verbose) {
-      std::cerr << "worker_pool: " << to_string(c.fail_status) << ": " << c.fail_message << "\n";
-    }
-  };
-
-  /// Drains available reply bytes; flips frame_done or classifies a
-  /// failure (EOF / garbled frame) when the stream ends.
-  auto drain_reply = [&](Child& c) {
-    char chunk[4096];
-    for (;;) {
-      const ssize_t r = ::read(c.reply_fd, chunk, sizeof(chunk));
-      if (r > 0) {
-        c.buf.append(chunk, static_cast<std::size_t>(r));
-        if (c.buf.size() >= kFrameHeaderSize) {
-          const auto fh =
-              decode_frame_header(reinterpret_cast<const unsigned char*>(c.buf.data()));
-          if (!fh) {
-            classify_failure(c);
-            return;
-          }
-          if (c.buf.size() >= kFrameHeaderSize + fh->length) {
-            c.reply_type = fh->type;
-            c.reply_payload = c.buf.substr(kFrameHeaderSize, fh->length);
-            c.frame_done = true;
-            c.done_at = Clock::now();
-            return;
-          }
-        }
-        continue;
-      }
-      if (r == 0) {  // EOF before a complete frame
-        classify_failure(c);
-        return;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained for now
-      classify_failure(c);
-      return;
-    }
-  };
-
-  if (!spawn(request_payload, request_type, &primary)) {
+  acquire_slot();
+  Child child;
+  if (!spawn(request_payload, request_type, &child)) {
     release_slot();
     worker_crashes_.fetch_add(1);
     workers_recycled_.fetch_add(1);
@@ -727,186 +571,59 @@ WorkerResult WorkerPool::run(const std::string& request_payload, FrameType reque
   }
   launched_.fetch_add(1);
 
+  // Read the reply frame under the wall deadline, until a complete
+  // frame arrives, the stream ends (EOF, read error or a garbled
+  // header), or the deadline passes.
   const bool has_wall = opt_.limits.wall_timeout_ms > 0;
-  bool hedge_pending = hedge_delay_ms >= 0.0;
-
-#ifndef NDEBUG
-  // Debug builds wait for the hedge loser too, to assert byte-identity
-  // of the two layouts; release kills it as soon as a winner is known.
-  // The wait is bounded: a loser that is itself wedged (injected hang)
-  // would otherwise stall the winning reply until its wall deadline.
-  constexpr bool kAwaitLoser = true;
-#else
-  constexpr bool kAwaitLoser = false;
-#endif
-  constexpr double kLoserGraceMs = 2000.0;
-  Clock::time_point winner_at{};
-  bool winner_seen = false;
-
-  for (;;) {
-    Child* live[2] = {nullptr, nullptr};
-    std::size_t nlive = 0;
-    if (primary.running && !primary.frame_done) live[nlive++] = &primary;
-    if (backup.running && !backup.frame_done) live[nlive++] = &backup;
-
-    const bool have_winner = primary.frame_done || backup.frame_done;
-    if (have_winner && !winner_seen) {
-      winner_seen = true;
-      winner_at = Clock::now();
-    }
-    if (nlive == 0) break;
-    if (have_winner && !kAwaitLoser) break;
-    if (have_winner && ms_since(winner_at) >= kLoserGraceMs) break;
-
-    // Next timer: the earliest of each live child's wall deadline and
-    // the pending hedge launch.
-    double wait_ms = 3600'000.0;
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < nlive; ++i) {
-      if (!has_wall) continue;
-      const double left =
-          opt_.limits.wall_timeout_ms -
-          std::chrono::duration<double, std::milli>(now - live[i]->forked_at).count();
-      wait_ms = std::min(wait_ms, left);
-    }
-    if (hedge_pending && !have_winner && !backup.running && !backup.failed) {
-      const double left =
-          hedge_delay_ms -
-          std::chrono::duration<double, std::milli>(now - primary.forked_at).count();
-      wait_ms = std::min(wait_ms, left);
-    }
-    if (have_winner) {
-      wait_ms = std::min(wait_ms, kLoserGraceMs - ms_since(winner_at));
-    }
-
-    if (wait_ms > 0.0) {
-      pollfd pfds[2];
-      for (std::size_t i = 0; i < nlive; ++i) {
-        pfds[i] = {live[i]->reply_fd, POLLIN, 0};
-      }
-      const int pr = ::poll(pfds, static_cast<nfds_t>(nlive), static_cast<int>(wait_ms) + 1);
-      if (pr > 0) {
-        for (std::size_t i = 0; i < nlive; ++i) {
-          if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) drain_reply(*live[i]);
-        }
-      }
-    }
-
-    // Wall-deadline enforcement (a poll can return early or be
-    // saturated by the other child's traffic).
+  bool frame_done = false;
+  bool stream_ended = false;
+  while (!frame_done && !stream_ended) {
+    int wait_ms = -1;
     if (has_wall) {
-      for (Child* c : {&primary, &backup}) {
-        if (c->running && !c->frame_done &&
-            ms_since(c->forked_at) >= opt_.limits.wall_timeout_ms) {
-          c->deadline_killed = true;
-          ::kill(c->pid, SIGKILL);
-          classify_failure(*c);
-        }
+      const double left = opt_.limits.wall_timeout_ms - ms_since(child.forked_at);
+      if (left <= 0.0) break;
+      wait_ms = static_cast<int>(left) + 1;
+    }
+    pollfd pfd{child.reply_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, wait_ms) <= 0) continue;  // timeout or EINTR: re-check the deadline
+    char chunk[4096];
+    for (;;) {
+      const ssize_t r = ::read(child.reply_fd, chunk, sizeof(chunk));
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;  // drained for now
+      if (r <= 0) {
+        stream_ended = true;
+        break;
+      }
+      child.buf.append(chunk, static_cast<std::size_t>(r));
+      if (child.buf.size() < kFrameHeaderSize) continue;
+      const auto fh = decode_frame_header(reinterpret_cast<const unsigned char*>(child.buf.data()));
+      if (!fh) {
+        stream_ended = true;
+        break;
+      }
+      if (child.buf.size() >= kFrameHeaderSize + fh->length) {
+        result.reply_type = fh->type;
+        result.reply_payload = child.buf.substr(kFrameHeaderSize, fh->length);
+        frame_done = true;
+        break;
       }
     }
-
-    // Hedge launch: primary is slow (past the bucket's p99 estimate),
-    // still running, and a slot is free right now. One attempt.
-    if (hedge_pending && primary.running && !primary.frame_done && !backup.running &&
-        ms_since(primary.forked_at) >= hedge_delay_ms) {
-      hedge_pending = false;
-      if (try_acquire_slot()) {
-        // The backup re-runs the same request with no fault directive:
-        // the injected fault belongs to the run, not the request, and
-        // the schedule must stay one draw per request.
-        std::string backup_payload = request_payload;
-        const std::size_t fpos = backup_payload.find("w_fault ");
-        if (fpos != std::string::npos) {
-          const std::size_t eol = backup_payload.find('\n', fpos);
-          backup_payload.replace(fpos, eol - fpos, "w_fault none");
-        }
-        if (spawn(backup_payload, request_type, &backup)) {
-          ++slots_held;
-          launched_.fetch_add(1);
-          hedges_launched_.fetch_add(1);
-          result.hedged = true;
-          if (opt_.verbose) {
-            std::cerr << "worker_pool: hedge launched after "
-                      << ms_since(primary.forked_at) << " ms (delay " << hedge_delay_ms
-                      << " ms)\n";
-          }
-        } else {
-          release_slot();  // undo the speculative acquire; slots_held unchanged
-        }
-      }
-    }
-
-    if ((primary.frame_done || primary.failed) && (backup.frame_done || backup.failed ||
-                                                   !result.hedged)) {
-      break;
-    }
   }
 
-  // Pick the winner: whoever completed a well-formed frame first.
-  Child* winner = nullptr;
-  if (primary.frame_done && backup.frame_done) {
-#ifndef NDEBUG
-    // Deterministic pipeline ⇒ the two .qlc bodies must match byte for
-    // byte (timing headers differ; the body is the layout entry).
-    if (primary.reply_type == backup.reply_type &&
-        (primary.reply_type == FrameType::kPlaceReply ||
-         primary.reply_type == FrameType::kEcoReply)) {
-      assert(payload_body(primary.reply_payload) == payload_body(backup.reply_payload) &&
-             "hedged worker replies diverged — torn hand-off or nondeterministic pipeline");
-    }
-#endif
-    winner = backup.done_at < primary.done_at ? &backup : &primary;
-  } else if (primary.frame_done) {
-    winner = &primary;
-  } else if (backup.frame_done) {
-    winner = &backup;
-  }
-  if (winner == &backup) {
-    result.hedge_won = true;
-    hedge_wins_.fetch_add(1);
-  }
-
-  if (winner) {
-    completed_ok_.fetch_add((primary.frame_done ? 1 : 0) + (backup.frame_done ? 1 : 0));
-    result.status = StatusCode::kOk;
-    result.reply_type = winner->reply_type;
-    result.reply_payload = std::move(winner->reply_payload);
-    // EWMA update from the winner's run time.
-    const double sample = ms_since(winner->forked_at);
-    std::lock_guard<std::mutex> lock(ewma_mutex_);
-    Bucket& b = buckets_[bucket];
-    if (b.samples == 0) {
-      b.ewma_ms = sample;
-      b.ewma_dev_ms = sample * 0.5;
-    } else {
-      constexpr double kAlpha = 0.25;
-      b.ewma_dev_ms += kAlpha * (std::abs(sample - b.ewma_ms) - b.ewma_dev_ms);
-      b.ewma_ms += kAlpha * (sample - b.ewma_ms);
-    }
-    ++b.samples;
+  // Every path reaps the child exactly once. After a complete frame it
+  // is a straggler about to _exit(); otherwise it is dead already, or
+  // hung past its deadline, or garbling, and the kill settles it.
+  ::close(child.reply_fd);
+  ::kill(child.pid, SIGKILL);
+  int st = 0;
+  (void)::waitpid(child.pid, &st, 0);
+  if (frame_done) {
+    completed_ok_.fetch_add(1);
   } else {
-    // Both (or the only) children failed: report the primary's typed
-    // classification — it carried the injected/organic fault.
-    result.status = primary.failed ? primary.fail_status : backup.fail_status;
-    result.message = primary.failed ? primary.fail_message : backup.fail_message;
+    classify_failure(st, /*deadline_killed=*/!stream_ended, &result);
   }
-
-  // Losers and stragglers: kill + reap; their fds close here. A loser
-  // killed by us is not a crash — its counters were either already
-  // charged (failed) or it was healthy and merely slower.
-  kill_and_reap(&primary);
-  kill_and_reap(&backup);
-  for (Child* c : {&primary, &backup}) {
-    if (c->reply_fd >= 0) {
-      ::close(c->reply_fd);
-      c->reply_fd = -1;
-    }
-  }
-
-  while (slots_held > 0) {
-    release_slot();
-    --slots_held;
-  }
+  release_slot();
   return result;
 }
 
@@ -917,8 +634,6 @@ WorkerPoolCounters WorkerPool::counters() const {
   c.worker_crashes = worker_crashes_.load();
   c.worker_oom_kills = worker_oom_kills_.load();
   c.worker_timeouts = worker_timeouts_.load();
-  c.hedges_launched = hedges_launched_.load();
-  c.hedge_wins = hedge_wins_.load();
   c.workers_recycled = workers_recycled_.load();
   return c;
 }

@@ -37,14 +37,12 @@
 //
 //             A crashed slot is recycled (workers_recycled) and the
 //             pool keeps serving.
-//   hedging   the pool tracks an EWMA latency mean and absolute
-//             deviation per topology-size bucket; once a primary
-//             worker exceeds the derived hedge delay (~p99: mean +
-//             3·dev, floored), one backup is launched and the first
-//             successful reply wins (the loser is killed and reaped).
-//             Debug builds wait for both and assert the two layouts
-//             are byte-identical — the pipeline is deterministic, so a
-//             mismatch is a torn hand-off or a miscompiled child.
+//
+// The child runs the same executor functions as the in-process path
+// (server/executor.h); the pool only moves the request in and the
+// outcome out, and place()/eco() return it as the executor's outcome
+// type. One child supervises one request: there is no backup run, so
+// a hang ends at the wall deadline as kResourceExhausted.
 //
 // Injected worker faults (FaultInjector::next_worker()) are drawn by
 // the parent *before* forking and passed to the child as a request
@@ -59,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "server/executor.h"
 #include "server/fault_injector.h"
 #include "server/protocol.h"
 
@@ -78,33 +77,26 @@ struct WorkerLimits {
 };
 
 struct WorkerPoolOptions {
-  /// Concurrent children, hedges included. run() blocks for a slot;
-  /// hedges are launched only when a slot is free right now.
+  /// Concurrent children; run() blocks for a slot.
   std::size_t max_workers{8};
   WorkerLimits limits;
-  bool hedging{true};
-  /// Never hedge before this many ms, however fast the bucket EWMA
-  /// says the run should be.
-  int hedge_floor_ms{50};
-  /// Hedge only after a bucket has this many completed samples.
-  std::uint32_t hedge_min_samples{3};
   FaultInjector* faults{nullptr};  ///< chaos hook (not owned)
-  /// Test-only: when non-empty, every primary run carries this fault
-  /// directive ("crash" | "oom" | "hang" | "exit1") instead of drawing
-  /// from `faults`. Hedge backups stay fault-free either way.
+  /// Test-only: when non-empty, every run carries this fault directive
+  /// ("crash" | "oom" | "hang" | "exit1") instead of drawing from
+  /// `faults`.
   std::string test_fault_directive;
   bool verbose{false};
 };
 
 /// Monotonic counters, mirrored into StatsReply by qgdpd.
 struct WorkerPoolCounters {
-  std::uint64_t launched{0};          ///< children forked (hedges included)
+  std::uint64_t launched{0};          ///< children forked
   std::uint64_t completed_ok{0};      ///< well-formed replies received
   std::uint64_t worker_crashes{0};    ///< classified kWorkerCrashed
   std::uint64_t worker_oom_kills{0};  ///< RLIMIT_AS / OOM exits
   std::uint64_t worker_timeouts{0};   ///< wall-deadline / RLIMIT_CPU kills
-  std::uint64_t hedges_launched{0};
-  std::uint64_t hedge_wins{0};        ///< backup finished first
+  std::uint64_t hedges_launched{0};   ///< retired with hedging; always 0
+  std::uint64_t hedge_wins{0};        ///< retired with hedging; always 0
   std::uint64_t workers_recycled{0};  ///< abnormal exits whose slot was recycled
 };
 
@@ -123,8 +115,6 @@ struct WorkerResult {
   /// error replies and failed eco edits (unchanged layout).
   std::string layout;
   double spacing{0.0};             ///< spacing rule carried by the entry
-  bool hedged{false};              ///< a backup was launched for this run
-  bool hedge_won{false};           ///< ... and it finished first
 };
 
 class WorkerPool {
@@ -135,17 +125,27 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Runs one cold place in a sandboxed child. `cache_key` stamps the
-  /// `.qlc` reply entry; `qubits` picks the hedge EWMA bucket.
+  /// execute_place in a sandboxed child, returned as the in-process
+  /// outcome would be (minus the live netlist). A supervisor 13/14 or
+  /// a typed error the child replied with lands in `error`.
   /// Thread-safe; blocks while all worker slots are busy.
-  [[nodiscard]] WorkerResult run_place(const PlaceRequest& req, const std::string& cache_key,
-                                       std::size_t qubits);
+  [[nodiscard]] PlaceOutcome place(const PlaceRequest& req, const std::string& cache_key);
 
-  /// Runs one eco edit in a sandboxed child. The warm layout text and
-  /// its spacing rule are serialized to the child as a `.qlc` entry;
-  /// the post-edit layout comes back the same way.
+  /// execute_eco in a sandboxed child against the warm layout text and
+  /// its spacing rule. Qubit ids must already be validated.
+  [[nodiscard]] EcoOutcome eco(const EcoRequest& req, const std::string& layout_payload,
+                               double spacing);
+
+  /// The raw run under place(): `cache_key` stamps the `.qlc` reply
+  /// entry. `qubits` is ignored; it sized the retired hedge buckets.
+  [[nodiscard]] WorkerResult run_place(const PlaceRequest& req, const std::string& cache_key,
+                                       std::size_t qubits = 0);
+
+  /// The raw run under eco(): the warm layout text and its spacing rule
+  /// go to the child as a `.qlc` entry, and the post-edit layout comes
+  /// back the same way. `qubits` is ignored, as for run_place().
   [[nodiscard]] WorkerResult run_eco(const EcoRequest& req, const std::string& layout_payload,
-                                     double spacing, std::size_t qubits);
+                                     double spacing, std::size_t qubits = 0);
 
   [[nodiscard]] WorkerPoolCounters counters() const;
   [[nodiscard]] const WorkerPoolOptions& options() const { return opt_; }
@@ -158,20 +158,20 @@ class WorkerPool {
                                                 std::string* layout, double* spacing);
 
  private:
-  struct Child;  // one forked worker: pids, pipe fds, deadline
+  struct Child;  // one forked worker: pid, reply pipe, deadline
 
-  /// Builds the request payload, forks/supervises (with hedging), and
-  /// classifies the outcome.
-  [[nodiscard]] WorkerResult run(const std::string& request_payload, FrameType request_type,
-                                 std::size_t qubits);
-  /// The fault directive for the next primary run: the test override,
-  /// an injector draw, or "none".
+  /// Forks one child for the request payload, supervises it to a reply
+  /// or its death, and classifies the outcome.
+  [[nodiscard]] WorkerResult run(const std::string& request_payload, FrameType request_type);
+  /// The fault directive for the next run: the test override, an
+  /// injector draw, or "none".
   [[nodiscard]] std::string fault_directive();
   [[nodiscard]] bool spawn(const std::string& request_payload, FrameType request_type,
                            Child* child);
-  void kill_and_reap(Child* child);
+  /// Classifies a reaped child that produced no usable reply, from its
+  /// waitpid status or the supervisor's own deadline kill.
+  void classify_failure(int wait_status, bool deadline_killed, WorkerResult* result);
   void acquire_slot();
-  [[nodiscard]] bool try_acquire_slot();
   void release_slot();
 
   WorkerPoolOptions opt_;
@@ -180,24 +180,11 @@ class WorkerPool {
   std::condition_variable slots_cv_;
   std::size_t active_workers_{0};
 
-  // Hedge-delay EWMAs per log2(qubit count) bucket, mean and absolute
-  // deviation in ms, guarded by one mutex (updates are rare and tiny).
-  struct Bucket {
-    double ewma_ms{0.0};
-    double ewma_dev_ms{0.0};
-    std::uint32_t samples{0};
-  };
-  static constexpr std::size_t kBuckets = 16;
-  mutable std::mutex ewma_mutex_;
-  Bucket buckets_[kBuckets];
-
   std::atomic<std::uint64_t> launched_{0};
   std::atomic<std::uint64_t> completed_ok_{0};
   std::atomic<std::uint64_t> worker_crashes_{0};
   std::atomic<std::uint64_t> worker_oom_kills_{0};
   std::atomic<std::uint64_t> worker_timeouts_{0};
-  std::atomic<std::uint64_t> hedges_launched_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
   std::atomic<std::uint64_t> workers_recycled_{0};
 };
 
@@ -205,8 +192,8 @@ namespace detail {
 
 /// The child side of one worker run: reads the request frame from
 /// `request_fd`, applies sandbox limits and any injected fault
-/// directive, executes the pipeline serially, writes the reply frame
-/// to `reply_fd`, and _exit()s. Never returns. Exposed for the worker
+/// directive, runs the executor serially, writes the reply frame to
+/// `reply_fd`, and _exit()s. Never returns. Exposed for the worker
 /// tests; everything else reaches it through WorkerPool.
 [[noreturn]] void worker_child_main(int request_fd, int reply_fd, const WorkerLimits& limits);
 

@@ -16,6 +16,7 @@
 #include "netlist/topologies.h"
 #include "placement/global_placer.h"
 #include "runtime/batch_runner.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -152,6 +153,8 @@ struct DiffCase {
   unsigned seed;
 };
 
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.topology << "_s" << c.seed; }
+
 class AbacusEngineDifferential : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(AbacusEngineDifferential, IncrementalBitIdenticalToRepack) {
@@ -177,13 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"Eagle", 1u}, DiffCase{"Eagle", 7u}, DiffCase{"Aspen-11", 1u},
                       DiffCase{"Aspen-11", 7u}, DiffCase{"Aspen-M", 1u}, DiffCase{"Aspen-M", 7u},
                       DiffCase{"heavyhex-11x18", 1u}),
-    [](const ::testing::TestParamInfo<DiffCase>& info) {
-      std::string name = info.param.topology + "_s" + std::to_string(info.param.seed);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    test_support::PrintedParamName{});
 
 TEST(AbacusEngineDifferential, SingleRowAllBlocksClump) {
   // Pathological end-to-end case: one free row, every block's GP

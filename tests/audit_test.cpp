@@ -7,6 +7,7 @@
 #include "metrics/audit.h"
 #include "netlist/netlist_builder.h"
 #include "netlist/topologies.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -93,6 +94,10 @@ struct AuditCase {
   LegalizerKind kind;
 };
 
+void PrintTo(const AuditCase& c, std::ostream* os) {
+  *os << c.topology << '_' << legalizer_name(c.kind);
+}
+
 class PipelineAudit : public ::testing::TestWithParam<AuditCase> {};
 
 TEST_P(PipelineAudit, FlowOutputIsClean) {
@@ -123,7 +128,8 @@ INSTANTIATE_TEST_SUITE_P(
                       AuditCase{"Xtree", LegalizerKind::kQAbacus},
                       AuditCase{"Aspen-11", LegalizerKind::kTetris},
                       AuditCase{"Aspen-M", LegalizerKind::kQgdp},
-                      AuditCase{"Eagle", LegalizerKind::kQgdp}));
+                      AuditCase{"Eagle", LegalizerKind::kQgdp}),
+    test_support::PrintedParamName{});
 
 }  // namespace
 }  // namespace qgdp

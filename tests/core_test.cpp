@@ -16,6 +16,7 @@
 #include "netlist/netlist_builder.h"
 #include "netlist/topologies.h"
 #include "placement/global_placer.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -165,6 +166,10 @@ struct PipelineCase {
   LegalizerKind kind;
 };
 
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << c.topology << '_' << legalizer_name(c.kind);
+}
+
 class PipelineMatrix : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(PipelineMatrix, ProducesLegalLayout) {
@@ -196,7 +201,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineCase{"Aspen-11", LegalizerKind::kQgdp},
                       PipelineCase{"Aspen-M", LegalizerKind::kQAbacus},
                       PipelineCase{"Eagle", LegalizerKind::kQgdp},
-                      PipelineCase{"Eagle", LegalizerKind::kAbacus}));
+                      PipelineCase{"Eagle", LegalizerKind::kAbacus}),
+    test_support::PrintedParamName{});
 
 TEST(PipelineTest, QgdpDominatesBaselinesOnCrossings) {
   // The headline claim: integration-aware legalization slashes

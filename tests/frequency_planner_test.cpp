@@ -6,6 +6,7 @@
 #include "netlist/frequency_planner.h"
 #include "netlist/netlist_builder.h"
 #include "netlist/topologies.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -14,6 +15,8 @@ struct StrategyCase {
   ColoringStrategy strategy;
   const char* name;
 };
+
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
 
 class ColoringTest : public ::testing::TestWithParam<StrategyCase> {};
 
@@ -46,7 +49,8 @@ INSTANTIATE_TEST_SUITE_P(Strategies, ColoringTest,
                          ::testing::Values(StrategyCase{ColoringStrategy::kGreedy, "greedy"},
                                            StrategyCase{ColoringStrategy::kDsatur, "dsatur"},
                                            StrategyCase{ColoringStrategy::kRoundRobin,
-                                                        "round-robin"}));
+                                                        "round-robin"}),
+                         test_support::PrintedParamName{});
 
 TEST(ColoringQuality, DsaturNoWorseThanRoundRobinOnXtree) {
   const auto spec = make_xtree();

@@ -9,6 +9,7 @@
 #include "netlist/netlist_builder.h"
 #include "netlist/quantum_netlist.h"
 #include "netlist/topologies.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -56,6 +57,8 @@ struct TopologyCase {
   int edges;
 };
 
+void PrintTo(const TopologyCase& c, std::ostream* os) { *os << c.name; }
+
 class TopologyCounts : public ::testing::TestWithParam<TopologyCase> {};
 
 TEST_P(TopologyCounts, MatchesPaperTableI) {
@@ -75,7 +78,8 @@ INSTANTIATE_TEST_SUITE_P(PaperTopologies, TopologyCounts,
                                            TopologyCase{"Falcon", 27, 28},
                                            TopologyCase{"Eagle", 127, 144},
                                            TopologyCase{"Aspen-11", 40, 48},
-                                           TopologyCase{"Aspen-M", 80, 106}));
+                                           TopologyCase{"Aspen-M", 80, 106}),
+                         test_support::PrintedParamName{});
 
 TEST(Topologies, AllConnectedAndSimple) {
   for (const auto& d : all_paper_topologies()) {

@@ -503,6 +503,76 @@ TEST_F(QgdpdTest, ForkIsolationMatchesInProcessByteForByte) {
   EXPECT_EQ(stats->internal_errors, 0u);
 }
 
+TEST_F(QgdpdTest, ForkIsolationMatchesInProcessOnEcoRejectsAndDiagnostics) {
+  // The same session in both modes: a place, an eco naming a qubit the
+  // layout does not have, then a landed two-move eco. Both modes run
+  // one executor, so the reject and every diagnostic must agree.
+  struct Served {
+    StatusCode reject{StatusCode::kOk};
+    std::uint64_t validation_rejects{0};
+    std::uint64_t worker_launches{0};
+    EcoReply eco;
+  };
+  auto serve = [&](Isolation isolation) {
+    QgdpdOptions opt;
+    opt.isolation = isolation;
+    restart(opt);
+    Served out;
+    QgdpdClient client = connect();
+    std::string error;
+    PlaceRequest place;
+    place.topology = "Grid";
+    const auto placed = client.place(place, &error);
+    EXPECT_TRUE(placed.has_value()) << error;
+    if (!placed) return out;
+    std::istringstream is(placed->layout);
+    const QuantumNetlist nl = read_layout(is);
+    const Point p3 = nl.qubit(3).pos;
+    const Point p17 = nl.qubit(17).pos;
+
+    EcoRequest out_of_range;  // in the fabric, but Grid has qubits 0..24
+    out_of_range.moves = {{static_cast<int>(nl.qubit_count()), p3.x, p3.y}};
+    EXPECT_FALSE(client.eco(out_of_range, &error).has_value());
+    out.reject = client.last_status();
+
+    EcoRequest eco;
+    eco.want_layout = true;
+    eco.moves = {{3, p3.x + 2.0, p3.y + 1.0}, {17, p17.x - 1.0, p17.y + 2.0}};
+    const auto served = client.eco(eco, &error);
+    EXPECT_TRUE(served.has_value()) << error;
+    if (served) out.eco = *served;
+    const auto stats = client.stats(&error);
+    EXPECT_TRUE(stats.has_value()) << error;
+    if (stats) out.validation_rejects = stats->validation_rejects;
+    if (daemon_->workers()) out.worker_launches = daemon_->workers()->counters().launched;
+    return out;
+  };
+  const Served in_proc = serve(Isolation::kNone);
+  const Served forked = serve(Isolation::kFork);
+
+  EXPECT_EQ(in_proc.reject, StatusCode::kBadRequest);
+  EXPECT_EQ(forked.reject, StatusCode::kBadRequest);
+  EXPECT_EQ(in_proc.validation_rejects, 1u);
+  EXPECT_EQ(forked.validation_rejects, 1u);
+  EXPECT_EQ(forked.worker_launches, 2u);  // the reject never reached a worker
+
+  const EcoReply& a = in_proc.eco;
+  const EcoReply& b = forked.eco;
+  ASSERT_TRUE(a.success);
+  EXPECT_GT(a.ripped_blocks, 0);  // the diagnostics below are not all zero
+  EXPECT_EQ(b.status, a.status);
+  EXPECT_EQ(b.success, a.success);
+  EXPECT_EQ(b.ripped_blocks, a.ripped_blocks);
+  EXPECT_EQ(b.replaced_blocks, a.replaced_blocks);
+  EXPECT_EQ(b.edges_touched, a.edges_touched);
+  EXPECT_EQ(b.window_violations, a.window_violations);
+  EXPECT_EQ(b.grid_bins_touched, a.grid_bins_touched);
+  EXPECT_EQ(b.window_growths, a.window_growths);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(b.window[i], a.window[i]) << "window[" << i << "]";
+  EXPECT_EQ(b.layout_hash, a.layout_hash);
+  EXPECT_EQ(b.layout, a.layout);
+}
+
 TEST_F(QgdpdTest, ForkIsolationCrashesAreTypedAndDoNotLeakAdmission) {
   FaultConfig fc;
   fc.crash_child_permille = 1000;  // every worker run dies by SIGSEGV
@@ -966,6 +1036,64 @@ TEST_F(QgdpdTest, WarmRestartServesByteIdenticalFromDisk) {
   daemon_->stop();
   for (const std::string name :
        {cache_key + ".qlc", std::string("1111111111111111.qlc.corrupt")}) {
+    ::unlink((cache_dir + "/" + name).c_str());
+  }
+  ::rmdir(cache_dir.c_str());
+}
+
+TEST_F(QgdpdTest, CacheEntriesFromOtherOutputVersionsAreNotServed) {
+  // The in-process daemon names the real cache key of a Grid place; a
+  // seed-2 layout stands in for what code with other outputs placed.
+  PlaceRequest req;
+  req.topology = "Grid";
+  req.want_layout = true;
+  PlaceRequest other = req;
+  other.seed = 2;
+  QgdpdClient ref = connect();
+  std::string error;
+  const auto placed = ref.place(req, &error);
+  ASSERT_TRUE(placed.has_value()) << error;
+  const auto stale = ref.place(other, &error);
+  ASSERT_TRUE(stale.has_value()) << error;
+  ASSERT_NE(stale->layout, placed->layout);
+  ref.close();
+
+  // The entry as a daemon from before kOutputVersion wrote it.
+  char tmpl[] = "/tmp/qgdp_stale_XXXXXX";
+  const std::string cache_dir = ::mkdtemp(tmpl);
+  {
+    CacheStoreOptions sopt;
+    sopt.dir = cache_dir;
+    sopt.fingerprint = "qlay=1;key=1";
+    CacheStore old(sopt);
+    ASSERT_TRUE(old.open(&error)) << error;
+    old.enqueue({placed->cache_key, 1.0, stale->layout});
+    old.flush();
+  }
+
+  QgdpdOptions opt;
+  opt.cache_dir = cache_dir;
+  restart(opt);
+  QgdpdClient client = connect();
+  const auto served = client.place(req, &error);
+  ASSERT_TRUE(served.has_value()) << error;
+  EXPECT_FALSE(served->cached);
+  EXPECT_EQ(served->cache_key, placed->cache_key);
+
+  QuantumNetlist nl = build_netlist(make_grid_device());
+  (void)Pipeline(PipelineOptions{}).run(nl);
+  std::ostringstream local;
+  write_layout(nl, local);
+  EXPECT_EQ(served->layout, local.str());
+
+  const auto stats = client.stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->entries_loaded, 0u);
+  EXPECT_EQ(stats->corrupt_quarantined, 1u);
+
+  client.close();
+  daemon_->stop();
+  for (const std::string& name : {placed->cache_key + ".qlc", placed->cache_key + ".qlc.corrupt"}) {
     ::unlink((cache_dir + "/" + name).c_str());
   }
   ::rmdir(cache_dir.c_str());

@@ -5,8 +5,7 @@
 // classification (13 worker_crashed / 14 resource_exhausted), with the
 // slot recycled and no fd or zombie leaked. The clean path is pinned
 // byte-identical to the in-process pipeline across the paper
-// topologies, for place and for eco, and the hedged path must launch
-// exactly one backup that wins against a hanging primary.
+// topologies, for place and for eco.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -77,11 +76,10 @@ using namespace qgdp::server;
   return req;
 }
 
-/// Pool with hedging off and an optional forced fault directive.
+/// Pool with an optional forced fault directive.
 [[nodiscard]] WorkerPoolOptions plain_pool(std::string directive = "") {
   WorkerPoolOptions opt;
   opt.max_workers = 2;
-  opt.hedging = false;
   opt.limits.wall_timeout_ms = 120'000;  // generous: Debug pipelines are slow
   opt.test_fault_directive = std::move(directive);
   return opt;
@@ -299,56 +297,6 @@ TEST(WorkerPool, HundredCrashesRecycleWithoutFdOrZombieLeaks) {
   int st = 0;
   EXPECT_EQ(::waitpid(-1, &st, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
-}
-
-TEST(WorkerPool, HedgeBackupWinsAgainstAHangingPrimary) {
-  // A fault schedule whose first three worker draws are clean (they
-  // seed the EWMA bucket) and whose fourth is a hang. The seed is
-  // searched, not guessed — the schedule is a pure function of
-  // (seed, op index), so the search is deterministic and cheap.
-  FaultConfig fc;
-  fc.hang_child_permille = 500;
-  for (fc.seed = 1; fc.seed < 100'000; ++fc.seed) {
-    FaultInjector probe{fc};
-    if (probe.next_worker() == FaultInjector::Action::kNone &&
-        probe.next_worker() == FaultInjector::Action::kNone &&
-        probe.next_worker() == FaultInjector::Action::kNone &&
-        probe.next_worker() == FaultInjector::Action::kHangChild) {
-      break;
-    }
-  }
-  ASSERT_LT(fc.seed, 100'000u);
-  FaultInjector faults{fc};
-
-  WorkerPoolOptions opt;
-  opt.max_workers = 2;
-  opt.hedging = true;
-  opt.hedge_floor_ms = 10;
-  opt.hedge_min_samples = 3;
-  opt.limits.wall_timeout_ms = 120'000;
-  opt.faults = &faults;
-  WorkerPool pool{opt};
-
-  const auto [local_text, local_spacing] = local_place(grid_request());
-  for (int i = 0; i < 3; ++i) {
-    const WorkerResult w = pool.run_place(grid_request(), test_key(), 25);
-    ASSERT_EQ(w.status, StatusCode::kOk) << "seeding run " << i << ": " << w.message;
-    ASSERT_EQ(w.layout, local_text);
-  }
-
-  // Fourth run: the primary hangs; past the bucket's p99 estimate one
-  // fault-free backup launches and wins with the identical bytes.
-  const WorkerResult w = pool.run_place(grid_request(), test_key(), 25);
-  ASSERT_EQ(w.status, StatusCode::kOk) << w.message;
-  EXPECT_TRUE(w.hedged);
-  EXPECT_TRUE(w.hedge_won);
-  EXPECT_EQ(w.layout, local_text);
-  EXPECT_EQ(w.spacing, local_spacing);
-
-  const WorkerPoolCounters c = pool.counters();
-  EXPECT_EQ(c.hedges_launched, 1u);
-  EXPECT_EQ(c.hedge_wins, 1u);
-  EXPECT_EQ(faults.injected(FaultInjector::Action::kHangChild), 1u);
 }
 
 TEST(WorkerPool, DecodeLayoutEntryRejectsTornBytes) {
