@@ -471,7 +471,6 @@ int main(int argc, char** argv) {
   int baseline_max_qubits = std::numeric_limits<int>::max();  // budget governs now
   double baseline_budget_ms = 1500.0;
   bool quick = false;
-  bool farfield = false;
   bool abacus_baseline = false;
   unsigned gp_seed = 1;
   std::size_t gp_jobs = 1;  // single-thread primary numbers (bit-identical for any N)
@@ -496,8 +495,6 @@ int main(int argc, char** argv) {
       jobs_sweep_arg = value();  // comma-separated lane counts; "" disables
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--farfield") {
-      farfield = true;
     } else if (arg == "--abacus-baseline") {
       abacus_baseline = true;  // flows price Abacus via the repack engine
     } else if (arg == "--seed") {
@@ -509,7 +506,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: bench_scaling_sweep [--out FILE] [--max-qubits N]\n"
                    "         [--baseline-max-qubits N] [--baseline-budget-ms MS]\n"
-                   "         [--jobs-sweep N,N,..] [--quick] [--farfield]\n"
+                   "         [--jobs-sweep N,N,..] [--quick]\n"
                    "         [--abacus-baseline] [--seed N] [--jobs N] [--dump-gp FILE]\n";
       return arg == "--help" ? 0 : 1;
     }
@@ -551,7 +548,6 @@ int main(int argc, char** argv) {
     GlobalPlacerOptions gopt;
     gopt.seed = gp_seed;
     gopt.jobs = gp_jobs;
-    gopt.freq_farfield = farfield;
     (void)GlobalPlacer(gopt).place(warm);
   }
 
@@ -570,7 +566,6 @@ int main(int argc, char** argv) {
       GlobalPlacerOptions gopt;
       gopt.seed = gp_seed;
       gopt.jobs = gp_jobs;
-      gopt.freq_farfield = farfield;
       const auto t0 = std::chrono::steady_clock::now();
       const auto stats = GlobalPlacer(gopt).place(gp_nl);
       e.gp.gp_ms = ms_since(t0);
@@ -594,7 +589,6 @@ int main(int argc, char** argv) {
       GlobalPlacerOptions gopt;
       gopt.seed = gp_seed;
       gopt.jobs = jobs;
-      gopt.freq_farfield = farfield;
       JobsSample s;
       s.jobs = jobs;
       const auto t0 = std::chrono::steady_clock::now();

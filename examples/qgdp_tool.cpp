@@ -50,9 +50,6 @@ options:
   --jobs N          concurrent lanes for batch modes and the GP force
                     kernels (default: all hardware threads; results are
                     bit-identical for any N)
-  --gp-farfield     aggregate the GP frequency field's far ring into
-                    per-cell monopoles (faster on dense frequency
-                    fields; exact per-pair path is the default)
   --abacus-baseline price Abacus candidates with the retained
                     from-scratch repack engine instead of the
                     incremental cluster stacks (bit-identical output;
@@ -83,13 +80,12 @@ std::optional<LegalizerKind> parse_flow(const std::string& s) {
 /// layout, batch-executed over `jobs` lanes. Takes ownership of the
 /// freshly built netlist and places it.
 int run_all_flows(const DeviceSpec& spec, QuantumNetlist gp_nl, unsigned seed, int gp_levels,
-                  bool run_dp, std::size_t jobs, bool gp_farfield, bool abacus_baseline) {
+                  bool run_dp, std::size_t jobs, bool abacus_baseline) {
   {
     GlobalPlacerOptions gp_opt;
     gp_opt.seed = seed;
     gp_opt.levels = gp_levels;
     gp_opt.jobs = jobs;
-    gp_opt.freq_farfield = gp_farfield;
     GlobalPlacer(gp_opt).place(gp_nl);
   }
   auto matrix = BatchRunner::shared_gp_flows(spec, all_legalizer_kinds(), gp_nl, seed, run_dp);
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   unsigned seed = 1;
   int gp_levels = 0;     // 0 = auto from component count
   std::size_t jobs = 0;  // 0 = hardware concurrency
-  bool gp_farfield = false;
   bool abacus_baseline = false;
   bool lg_full_sweep = false;
   bool lg_no_banking = false;
@@ -185,8 +180,6 @@ int main(int argc, char** argv) {
       gp_levels = static_cast<int>(numeric_value(4));
     } else if (arg == "--jobs") {
       jobs = static_cast<std::size_t>(numeric_value(std::numeric_limits<std::size_t>::max()));
-    } else if (arg == "--gp-farfield") {
-      gp_farfield = true;
     } else if (arg == "--abacus-baseline") {
       abacus_baseline = true;
     } else if (arg == "--lg-full-sweep") {
@@ -232,8 +225,7 @@ int main(int argc, char** argv) {
       std::cerr << "warning: --out/--svg are ignored with --flow all "
                    "(no single final layout); run one flow to write artifacts\n";
     }
-    return run_all_flows(spec, std::move(nl), seed, gp_levels, run_dp, jobs, gp_farfield,
-                         abacus_baseline);
+    return run_all_flows(spec, std::move(nl), seed, gp_levels, run_dp, jobs, abacus_baseline);
   }
 
   PipelineOptions opt;
@@ -246,7 +238,6 @@ int main(int argc, char** argv) {
   opt.gp.seed = seed;
   opt.gp.levels = gp_levels;
   opt.gp.jobs = jobs;
-  opt.gp.freq_farfield = gp_farfield;
   const auto out = Pipeline(opt).run(nl);
 
   // Metrics + audit.

@@ -151,9 +151,8 @@ struct LevelSchedule {
 ///   * repulsion  — the cell-blocked kernels in
 ///     placement/repulsion_kernel.h: bodies counting-sorted into
 ///     contiguous per-cell SoA spans (re-bucketed incrementally as they
-///     drift), gathered owner-computes with branchless span loops, the
-///     wide frequency field optionally aggregated per far cell
-///     (`freq_farfield`). A pair's force is evaluated from both sides
+///     drift), gathered owner-computes with branchless span loops. A
+///     pair's force is evaluated from both sides
 ///     with exactly antisymmetric arithmetic, which preserves the
 ///     pair-once physics of the flat loop without any cross-thread
 ///     reduction;
@@ -172,7 +171,6 @@ int run_level(PlacementLevel& level, const GlobalPlacerOptions& opt, const Rect&
   kopt.freq_threshold = opt.freq_threshold;
   kopt.freq_radius = opt.freq_radius;
   kopt.with_freq = opt.freq_threshold > 1e-12 && opt.freq_repulsion > 0.0;
-  kopt.freq_farfield = opt.freq_farfield;
   RepulsionKernel kernel(die, n, level.half_w.data(), level.half_h.data(), level.freq.data(),
                          kopt);
   double* X = level.x.data();

@@ -51,16 +51,6 @@ struct GlobalPlacerOptions {
   int min_refine_iterations{24};  ///< refinement budget floor at kilo-body
                                   ///< levels (small levels anneal longer)
   double refine_step_scale{0.8};  ///< initial step scale of refinement sweeps
-  double hash_rebuild_slack{0.75};///< deprecated: the PR-3 lazy-rebuild slack.
-                                  ///< The cell-blocked kernels keep buckets
-                                  ///< fresh incrementally; kept for API compat.
-  bool freq_farfield{false};      ///< frequency field: aggregate cells beyond
-                                  ///< the near ring into per-cell monopoles.
-                                  ///< Opt-in: at the paper's densities the
-                                  ///< far ring is sparse, so the monopole
-                                  ///< bookkeeping costs more than the pairs
-                                  ///< it replaces (see README); the exact
-                                  ///< per-pair path is the default.
   std::size_t jobs{0};            ///< parallel lanes (0 = pool size). Output is
                                   ///< bit-identical for any value.
   bool flat_baseline{false};      ///< run the retained PR-2 single-thread flat

@@ -46,7 +46,6 @@ double fitted_cell(double base, double w, double h, std::size_t members,
 // other bit-for-bit):
 //   * every gather keeps two accumulator lanes per axis; candidate k of
 //     a span [lo, hi) contributes to lane (k - lo) & 1;
-//   * far-field cell monopoles contribute to lane 0;
 //   * the lanes are folded once per body, lane0 + lane1, after all
 //     spans of all grids.
 // Masked-out candidates contribute exactly +0.0, which cannot change
@@ -163,10 +162,8 @@ RepulsionKernel::RepulsionKernel(const Rect& die, std::size_t n, const double* h
     // spatially (one resonator's blocks share the edge frequency), so
     // the scan is candidate-bound, not lookup-bound — the 5x5 window at
     // radius/2 covers the disc with ~6x less overscan than a 3x3 at
-    // cell = radius. It is also the geometry the far-field mode needs
-    // (a far ring beyond the 3x3 near ring). All bins share one
-    // geometry so a body's window is computed once and reused across
-    // the three bins it scans.
+    // cell = radius. All bins share one geometry so a body's window is
+    // computed once and reused across the three bins it scans.
     const double base_cell = opt_.freq_radius / 2.0;
     const double freq_cell =
         fitted_cell(base_cell, w, h, std::max<std::size_t>(n / bins_.size(), 1), 32);
@@ -182,7 +179,7 @@ RepulsionKernel::RepulsionKernel(const Rect& die, std::size_t n, const double* h
 }
 
 void RepulsionKernel::refresh_grid(Grid& g, const double* x, const double* y, bool store_halves,
-                                   bool store_freq, bool prefix) {
+                                   bool store_freq) {
   const std::size_t m_count = g.members.size();
   if (m_count == 0) return;
   // Re-bucket only bodies whose cell changed.
@@ -228,11 +225,6 @@ void RepulsionKernel::refresh_grid(Grid& g, const double* x, const double* y, bo
     }
     g.dirty = false;
     flattened_any_ = true;
-    if (prefix) {
-      g.psf.resize(m_count + 1);
-      g.psf[0] = 0.0;
-      for (std::size_t k = 0; k < m_count; ++k) g.psf[k + 1] = g.psf[k] + g.sfreq[k];
-    }
   } else {
     // Value refresh: slot membership unchanged, rewrite positions only.
     for (std::size_t k = 0; k < m_count; ++k) {
@@ -241,27 +233,13 @@ void RepulsionKernel::refresh_grid(Grid& g, const double* x, const double* y, bo
       g.sy[k] = y[i];
     }
   }
-  if (prefix) {
-    g.psx.resize(m_count + 1);
-    g.psy.resize(m_count + 1);
-    g.psx[0] = 0.0;
-    g.psy[0] = 0.0;
-    for (std::size_t k = 0; k < m_count; ++k) {
-      g.psx[k + 1] = g.psx[k] + g.sx[k];
-      g.psy[k + 1] = g.psy[k] + g.sy[k];
-    }
-  }
 }
 
 void RepulsionKernel::refresh(const double* x, const double* y) {
   flattened_any_ = false;
-  refresh_grid(unit_, x, y, /*store_halves=*/!unit_uniform_half_, /*store_freq=*/false,
-               /*prefix=*/false);
-  refresh_grid(macro_, x, y, /*store_halves=*/true, /*store_freq=*/false, /*prefix=*/false);
-  const bool prefix = opt_.freq_farfield;
-  for (auto& g : bins_) {
-    refresh_grid(g, x, y, /*store_halves=*/false, /*store_freq=*/true, prefix);
-  }
+  refresh_grid(unit_, x, y, /*store_halves=*/!unit_uniform_half_, /*store_freq=*/false);
+  refresh_grid(macro_, x, y, /*store_halves=*/true, /*store_freq=*/false);
+  for (auto& g : bins_) refresh_grid(g, x, y, /*store_halves=*/false, /*store_freq=*/true);
   if (flattened_any_) {
     ++stats_.flattens;
   } else {
@@ -279,7 +257,7 @@ void RepulsionKernel::refresh(const double* x, const double* y) {
 // contract documented above. Exact coordinate ties, self-candidates
 // and span tails take a scalar path inside the SIMD kernel that packs
 // the same scalar contributions into the same lanes, so the two paths
-// are bit-identical in both exact and far-field modes.
+// are bit-identical.
 
 template <bool kBlocked>
 void RepulsionKernel::contact_gather(int i, bool i_unit, double xi, double yi, const double* x,
@@ -490,43 +468,6 @@ void RepulsionKernel::freq_gather(int i, double xi, double yi, const double* x,
     cpx = -(dx * s);
     cpy = -(dy * s);
   };
-  // One far cell: its members act as a single monopole of mass m at
-  // their centroid, gated on the cell's mean frequency. For a same-bin
-  // cell every member individually passes the frequency gate, so the
-  // gate is exact there; the positional error is bounded by the cell
-  // diagonal over the (>= one cell) distance — see the README
-  // error-bound derivation. Contributions land in lane 0.
-  const auto cell_monopole = [&](const Grid& g, std::size_t lo, std::size_t hi) {
-    if (hi <= lo) return;
-    const double m = static_cast<double>(hi - lo);
-    const double inv_m = 1.0 / m;
-    const double mx = (g.psx[hi] - g.psx[lo]) * inv_m;
-    const double my = (g.psy[hi] - g.psy[lo]) * inv_m;
-    const double mf = (g.psf[hi] - g.psf[lo]) * inv_m;
-    const double dx = mx - xi;
-    const double dy = my - yi;
-    const double df = std::abs(mf - fqi);
-    const double d2 = dx * dx + dy * dy;
-    if ((df < thr) & (d2 < r2)) {
-      double cpx, cpy;
-      pair_contrib(dx, dy, d2, cpx, cpy);
-      const double cmx = cpx * m;
-      const double cmy = cpy * m;
-      if constexpr (kBlocked) {
-#if defined(QGDP_REPULSION_SSE2)
-        vpx = _mm_add_pd(vpx, _mm_set_pd(0.0, cmx));
-        vpy = _mm_add_pd(vpy, _mm_set_pd(0.0, cmy));
-#else
-        px0 += cmx;
-        py0 += cmy;
-#endif
-      } else {
-        px0 += cmx;
-        py0 += cmy;
-      }
-    }
-  };
-
   // One row span, exact candidates. `own_bin` pairs always pass the
   // frequency gate (bin width == threshold), so their prefilter is
   // distance-only.
@@ -635,42 +576,10 @@ void RepulsionKernel::freq_gather(int i, double xi, double yi, const double* x,
     const Grid& g = bins_[static_cast<std::size_t>(gi)];
     if (g.members.empty()) continue;
     const bool own_bin = gi == own_bin_id;
-    if (!opt_.freq_farfield) {
-      for (int yy = y0; yy <= y1; ++yy) {
-        const std::size_t row = static_cast<std::size_t>(yy) * static_cast<std::size_t>(g.nx);
-        scan_span(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(x0)]),
-                  static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(x1) + 1]),
-                  own_bin);
-      }
-    } else {
-      // Near ring (Chebyshev <= 1 cell around the body's cell): exact
-      // per-pair forces. Every other cell in range: one monopole.
-      for (int yy = y0; yy <= y1; ++yy) {
-        const std::size_t row = static_cast<std::size_t>(yy) * static_cast<std::size_t>(g.nx);
-        const bool near_row = yy >= cyq - 1 && yy <= cyq + 1;
-        if (near_row) {
-          const int nx0 = std::max(cxq - 1, x0);
-          const int nx1 = std::min(cxq + 1, x1);
-          // Far cells left of the near window, the near span, then far
-          // cells right of it — strictly left-to-right per row.
-          for (int c = x0; c < nx0; ++c) {
-            cell_monopole(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c)]),
-                          static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c) + 1]));
-          }
-          scan_span(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(nx0)]),
-                    static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(nx1) + 1]),
-                    own_bin);
-          for (int c = nx1 + 1; c <= x1; ++c) {
-            cell_monopole(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c)]),
-                          static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c) + 1]));
-          }
-        } else {
-          for (int c = x0; c <= x1; ++c) {
-            cell_monopole(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c)]),
-                          static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(c) + 1]));
-          }
-        }
-      }
+    for (int yy = y0; yy <= y1; ++yy) {
+      const std::size_t row = static_cast<std::size_t>(yy) * static_cast<std::size_t>(g.nx);
+      scan_span(g, static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(x0)]),
+                static_cast<std::size_t>(g.off[row + static_cast<std::size_t>(x1) + 1]), own_bin);
     }
   }
 

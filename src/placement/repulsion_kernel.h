@@ -8,7 +8,7 @@
 // interact), and the inner loops were branchy scalar math. At two
 // kilo-qubits that gather was ~95% of GP wall time.
 //
-// This kernel rearchitects the path around three ideas:
+// This kernel rearchitects the path around two ideas:
 //
 //   1. cell-blocked SoA spans — bodies are counting-sorted into
 //      row-major grid cells each time any body changes cell, and the
@@ -28,22 +28,14 @@
 //      cover exactly the interaction reach — no slack inflation, and
 //      (for the contact field) ~3x fewer candidates per gather.
 //
-//   3. far-field monopole aggregation (opt-in, `freq_farfield`) — the
-//      frequency field reaches freq_radius (4 cells) but decays
-//      linearly, so cells beyond the 3x3 near ring contribute their
-//      members' aggregated centroid force instead of per-pair terms.
-//      Cell aggregates are O(1) prefix-sum differences over the slot
-//      arrays, so a far cell costs one masked monopole evaluation
-//      regardless of occupancy. See accumulate() for the error bound.
-//
 // Determinism contract (inherited from PR 3): forces are an owner-
 // computes gather in a fixed per-body order — grids in a fixed
 // sequence, rows ascending, slots ascending within a row — and all
 // maintenance is serial, so accumulate() is bit-identical for any
 // thread-pool size or `jobs` value. accumulate_reference() walks the
 // same structures body-by-body with plain branchy loops and must
-// produce bit-identical forces in both exact and far-field modes; the
-// differential tests pin the blocked kernels to it.
+// produce bit-identical forces; the differential tests pin the blocked
+// kernels to it.
 #pragma once
 
 #include <array>
@@ -61,7 +53,6 @@ struct RepulsionKernelOptions {
   double freq_threshold{0.06};  ///< GHz; pairs closer than this repel
   double freq_radius{4.0};      ///< cells; frequency interaction radius
   bool with_freq{true};         ///< build the frequency-bin grids at all
-  bool freq_farfield{false};    ///< monopole aggregation beyond the near ring
 };
 
 struct RepulsionKernelStats {
@@ -94,7 +85,7 @@ class RepulsionKernel {
 
   /// Differential oracle: the same forces via a plain per-body gather
   /// (branchy scalar loops over the same structures, same enumeration
-  /// order). Bit-identical to accumulate() in both modes.
+  /// order). Bit-identical to accumulate().
   void accumulate_reference(const double* x, const double* y, double contact_repulsion,
                             double freq_repulsion, double* fx, double* fy) const;
 
@@ -121,10 +112,6 @@ class RepulsionKernel {
     std::vector<double> sx, sy;
     std::vector<double> shw, shh;   ///< contact grids with non-uniform halves
     std::vector<double> sfreq;      ///< frequency grids only
-    // Prefix sums over slots (far-field aggregation; freq grids only):
-    // psx[k] = sum of sx[0..k), so a cell's centroid is an O(1) range
-    // difference.
-    std::vector<double> psx, psy, psf;
 
     [[nodiscard]] int cx(double x) const;
     [[nodiscard]] int cy(double y) const;
@@ -132,7 +119,7 @@ class RepulsionKernel {
   };
 
   void refresh_grid(Grid& g, const double* x, const double* y, bool store_halves,
-                    bool store_freq, bool prefix);
+                    bool store_freq);
 
   template <bool kBlocked>
   void contact_gather(int i, bool i_unit, double xi, double yi, const double* x,

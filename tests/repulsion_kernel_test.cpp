@@ -1,27 +1,16 @@
 // Differential coverage for the cell-blocked repulsion kernels
-// (placement/repulsion_kernel.h):
-//
-//   1. the SIMD blocked path is pinned bit-for-bit to the retained
-//      per-body gather oracle (accumulate_reference) in both exact and
-//      far-field modes, across thread-pool sizes 1/4/8 and across
-//      several refresh cycles with drifting positions (exercising the
-//      incremental re-bucketing);
-//   2. the far-field monopole approximation stays within a force-level
-//      epsilon of the exact path on a realistic settled layout;
-//   3. a pipeline-level quality tripwire: running GP with
-//      `freq_farfield` must not degrade the paper metrics (hotspot
-//      rate, resonator crossings) beyond noise-scale bounds on any
-//      paper topology x flow combination.
+// (placement/repulsion_kernel.h): the SIMD blocked path is pinned
+// bit-for-bit to the retained per-body gather oracle
+// (accumulate_reference), across thread-pool sizes 1/4/8 and across
+// several refresh cycles with drifting positions (exercising the
+// incremental re-bucketing).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "metrics/crossings.h"
-#include "metrics/hotspots.h"
 #include "netlist/netlist_builder.h"
 #include "netlist/topologies.h"
 #include "placement/global_placer.h"
@@ -57,24 +46,19 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-class RepulsionKernelDifferential : public ::testing::TestWithParam<bool> {};
-
 // The core contract of the rearchitecture: the blocked SIMD kernels
 // must produce byte-identical forces to the per-body reference gather,
 // at any pool size, through refresh cycles that re-bucket drifting
 // bodies.
-TEST_P(RepulsionKernelDifferential, BlockedMatchesReferenceBitIdentical) {
-  const bool farfield = GetParam();
+TEST(RepulsionKernelDifferential, BlockedMatchesReferenceBitIdentical) {
   for (const std::string topology : {std::string("Falcon"), std::string("heavyhex-7x12")}) {
     auto state = settled_level(topology);
     PlacementLevel& lvl = state.level;
     const std::size_t n = lvl.size();
     ASSERT_GT(n, 0u);
 
-    RepulsionKernelOptions kopt;
-    kopt.freq_farfield = farfield;
     RepulsionKernel kernel(state.die, n, lvl.half_w.data(), lvl.half_h.data(),
-                           lvl.freq.data(), kopt);
+                           lvl.freq.data(), RepulsionKernelOptions{});
     std::vector<double> x = lvl.x, y = lvl.y;
     for (int it = 0; it < 6; ++it) {
       kernel.refresh(x.data(), y.data());
@@ -89,15 +73,13 @@ TEST_P(RepulsionKernelDifferential, BlockedMatchesReferenceBitIdentical) {
         std::vector<double> f(2 * n, 0.0);
         kernel.accumulate(x.data(), y.data(), 0.45, 0.25, f.data(), f.data() + n, pool, 0);
         EXPECT_TRUE(bytes_equal(blocked, f))
-            << topology << " farfield=" << farfield << " it=" << it
-            << ": forces differ between pool sizes 1 and " << threads;
+            << topology << " it=" << it << ": forces differ between pool sizes 1 and " << threads;
       }
       std::vector<double> reference(2 * n, 0.0);
       kernel.accumulate_reference(x.data(), y.data(), 0.45, 0.25, reference.data(),
                                   reference.data() + n);
       ASSERT_TRUE(bytes_equal(blocked, reference))
-          << topology << " farfield=" << farfield << " it=" << it
-          << ": blocked kernel differs from the per-body gather oracle";
+          << topology << " it=" << it << ": blocked kernel differs from the per-body gather oracle";
 
       // Drift with the computed forces so later refreshes re-bucket a
       // realistic subset of bodies.
@@ -111,106 +93,6 @@ TEST_P(RepulsionKernelDifferential, BlockedMatchesReferenceBitIdentical) {
     // maintenance, not just value refreshes.
     EXPECT_GT(kernel.stats().rebucketed, 0);
     EXPECT_GE(kernel.stats().flattens, 1);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, RepulsionKernelDifferential, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "farfield" : "exact";
-                         });
-
-// Force-level epsilon: the monopole approximation only touches cells
-// beyond the near ring, where the linear falloff is weakest, so the
-// aggregate force field stays close to the exact one.
-TEST(RepulsionKernelFarfield, ForcesWithinEpsilonOfExact) {
-  auto state = settled_level("Falcon");
-  PlacementLevel& lvl = state.level;
-  const std::size_t n = lvl.size();
-  ThreadPool pool(1);
-
-  std::vector<double> exact(2 * n, 0.0), far(2 * n, 0.0);
-  for (int mode = 0; mode < 2; ++mode) {
-    RepulsionKernelOptions kopt;
-    kopt.freq_farfield = mode == 1;
-    RepulsionKernel kernel(state.die, n, lvl.half_w.data(), lvl.half_h.data(),
-                           lvl.freq.data(), kopt);
-    kernel.refresh(lvl.x.data(), lvl.y.data());
-    auto& f = mode == 1 ? far : exact;
-    kernel.accumulate(lvl.x.data(), lvl.y.data(), 0.45, 0.25, f.data(), f.data() + n, pool,
-                      0);
-  }
-  double err = 0.0, ref = 0.0;
-  for (std::size_t k = 0; k < 2 * n; ++k) {
-    err += std::abs(far[k] - exact[k]);
-    ref += std::abs(exact[k]);
-  }
-  ASSERT_GT(ref, 0.0);
-  // Mean absolute force deviation bounded at 15% of the mean exact
-  // force magnitude — the documented error scale of per-cell monopoles
-  // at cell = radius/2 (error ~ cell diagonal / distance on the far
-  // ring, weighted by the linear falloff).
-  EXPECT_LT(err / ref, 0.15) << "far-field force deviation " << err / ref;
-}
-
-// Pipeline-level tripwire: far-field placement quality must stay at
-// the exact path's level on every paper topology x flow. The bounds
-// are one-sided (improvement is fine) with absolute floors at the
-// deterministic noise scale of these integer/percentage metrics —
-// measured deltas sit well inside; a geometry bug in the monopole path
-// (double counting, wrong gate) blows past them immediately.
-TEST(RepulsionKernelFarfield, QualityTripwireAcrossFlowsAndTopologies) {
-  for (const auto& spec : all_paper_topologies()) {
-    QuantumNetlist exact_nl = build_netlist(spec);
-    QuantumNetlist far_nl = build_netlist(spec);
-    GlobalPlacerOptions exact_opt;
-    exact_opt.freq_farfield = false;
-    GlobalPlacerOptions far_opt;
-    far_opt.freq_farfield = true;
-    GlobalPlacer(exact_opt).place(exact_nl);
-    GlobalPlacer(far_opt).place(far_nl);
-
-    for (const LegalizerKind kind : all_legalizer_kinds()) {
-      QuantumNetlist a = exact_nl;
-      QuantumNetlist b = far_nl;
-      PipelineOptions popt;
-      popt.run_gp = false;
-      popt.legalizer = kind;
-      (void)Pipeline(popt).run(a);
-      (void)Pipeline(popt).run(b);
-
-      const double ph_exact = compute_hotspots(a).ph * 100.0;
-      const double ph_far = compute_hotspots(b).ph * 100.0;
-      const long long cr_exact = compute_crossings(a).total;
-      const long long cr_far = compute_crossings(b).total;
-
-      EXPECT_LE(ph_far, ph_exact + std::max(0.10 * ph_exact, 0.85))
-          << spec.name << "/" << legalizer_name(kind) << ": hotspot rate regressed "
-          << ph_exact << "% -> " << ph_far << "%";
-      EXPECT_LE(static_cast<double>(cr_far),
-                static_cast<double>(cr_exact) + std::max(0.075 * cr_exact, 12.0))
-          << spec.name << "/" << legalizer_name(kind) << ": crossings regressed " << cr_exact
-          << " -> " << cr_far;
-    }
-  }
-}
-
-// The far-field path must keep every legalization invariant clean —
-// the same bar the exact path is held to in invariants_test.cpp.
-TEST(RepulsionKernelFarfield, InvariantsCleanThroughPipeline) {
-  const auto spec = topology_by_name("heavyhex-7x12");
-  ASSERT_TRUE(spec.has_value());
-  QuantumNetlist gp_nl = build_netlist(*spec);
-  GlobalPlacerOptions opt;
-  opt.freq_farfield = true;
-  GlobalPlacer(opt).place(gp_nl);
-  for (const LegalizerKind kind : all_legalizer_kinds()) {
-    QuantumNetlist nl = gp_nl;
-    PipelineOptions popt;
-    popt.run_gp = false;
-    popt.legalizer = kind;
-    const auto out = Pipeline(popt).run(nl);
-    EXPECT_TRUE(out.stats.qubit.success) << legalizer_name(kind);
-    EXPECT_TRUE(out.stats.blocks.success) << legalizer_name(kind);
   }
 }
 
