@@ -5,7 +5,7 @@
 // instances so the suite stays fast).
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "netlist/netlist_builder.h"
 #include "netlist/topologies.h"
 #include "support/invariants.h"
+#include "support/param_name.h"
 
 namespace qgdp {
 namespace {
@@ -24,6 +25,8 @@ struct MatrixCase {
   std::string topology;
   unsigned seed;
 };
+
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.topology << "_seed" << c.seed; }
 
 /// Old (paper) and new (parameterized family) topologies. The family
 /// instances are sized to keep the full matrix under test-suite
@@ -70,16 +73,9 @@ std::vector<MatrixCase> matrix_cases() {
   return cases;
 }
 
-std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
-  std::string name = info.param.topology + "_seed" + std::to_string(info.param.seed);
-  for (char& c : name) {
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  }
-  return name;
-}
-
 INSTANTIATE_TEST_SUITE_P(FlowsTopologiesSeeds, InvariantMatrix,
-                         ::testing::ValuesIn(matrix_cases()), case_name);
+                         ::testing::ValuesIn(matrix_cases()),
+                         test_support::PrintedParamName{});
 
 // The detailed-placement stage must preserve every invariant the
 // legalizer established (it only swaps/slides within legal sites).
