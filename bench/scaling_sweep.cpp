@@ -22,6 +22,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -77,28 +78,6 @@ struct FlowSample {
   /// the end-of-sweep-only number used to blame everything on the
   /// last rung.
   double rss_after_mb{0.0};
-};
-
-/// qGDP worklist-vs-full-sweep differential at one rung: the same
-/// GP layout legalized by the worklist scheduler and by the retained
-/// full-sweep oracle, for the CI tq perf guard (time ratio is
-/// machine-speed-free) and the tolerance-contract check (displacement
-/// gap bounded, both audits clean).
-struct SolverDiff {
-  double tq_worklist_ms{0.0};
-  double tq_full_sweep_ms{0.0};
-  double qubit_disp_worklist{0.0};
-  double qubit_disp_full_sweep{0.0};
-  bool worklist_converged{false};
-  bool full_sweep_converged{false};
-  bool both_audit_clean{false};
-  [[nodiscard]] double ratio() const {
-    return tq_worklist_ms / std::max(tq_full_sweep_ms, 1e-6);
-  }
-  [[nodiscard]] double disp_gap_pct() const {
-    return 100.0 * (qubit_disp_worklist - qubit_disp_full_sweep) /
-           std::max(qubit_disp_full_sweep, 1e-6);
-  }
 };
 
 /// One timed hot-path baseline field: either a measurement or a skip
@@ -167,12 +146,10 @@ struct Entry {
   std::vector<JobsSample> jobs_scaling;
   double rss_mb{0.0};
   std::vector<FlowSample> flows;
-  SolverDiff solver;
   HotPaths hot;
 };
 
-FlowSample run_flow(const QuantumNetlist& gp_nl, LegalizerKind kind, bool abacus_baseline,
-                    bool lg_full_sweep = false) {
+FlowSample run_flow(const QuantumNetlist& gp_nl, LegalizerKind kind, bool abacus_baseline) {
   FlowSample s;
   s.name = legalizer_name(kind);
   QuantumNetlist nl = gp_nl;
@@ -180,10 +157,6 @@ FlowSample run_flow(const QuantumNetlist& gp_nl, LegalizerKind kind, bool abacus
   opt.run_gp = false;
   opt.legalizer = kind;
   opt.abacus.repack_baseline = abacus_baseline;
-  if (lg_full_sweep) {
-    opt.solver.full_sweep_baseline = true;
-    opt.solver.start = DisplacementSolver::Start::kBoth;
-  }
   const auto out = Pipeline(opt).run(nl);
   s.tq_ms = out.stats.qubit_ms;
   s.te_ms = out.stats.resonator_ms;
@@ -330,6 +303,20 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// "N vCPU, <model name>" of the machine running the sweep, so the
+/// committed numbers name the host they were measured on.
+std::string host_description() {
+  std::string cpu = "unknown CPU";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  return std::to_string(std::thread::hardware_concurrency()) + " vCPU, " + cpu;
+}
+
 void write_json(const std::vector<Entry>& entries, unsigned gp_seed, std::size_t gp_jobs,
                 const std::string& path) {
   std::ofstream os(path);
@@ -342,7 +329,8 @@ void write_json(const std::vector<Entry>& entries, unsigned gp_seed, std::size_t
      << "  \"gp_jobs\": " << gp_jobs << ",\n"
      << "  \"note\": \"times in ms; peak_rss_mb is the process high-water mark, monotonic "
         "over the sweep; quadratic baselines = retained all-pairs/linear-scan paths; "
-        "gp.flat_* = retained flat single-thread GP loop on the same netlist + seed\",\n"
+        "gp.flat_* = retained flat single-thread GP loop on the same netlist + seed; host: "
+     << json_escape(host_description()) << "\",\n"
      << "  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
@@ -396,16 +384,6 @@ void write_json(const std::vector<Entry>& entries, unsigned gp_seed, std::size_t
          << (f + 1 < e.flows.size() ? "," : "") << "\n";
     }
     os << "      ],\n";
-    os << "      \"qgdp_solver\": {\"tq_worklist_ms\": " << e.solver.tq_worklist_ms
-       << ", \"tq_full_sweep_ms\": " << e.solver.tq_full_sweep_ms
-       << ", \"tq_ratio\": " << e.solver.ratio()
-       << ", \"qubit_disp_worklist\": " << e.solver.qubit_disp_worklist
-       << ", \"qubit_disp_full_sweep\": " << e.solver.qubit_disp_full_sweep
-       << ", \"qubit_disp_gap_pct\": " << e.solver.disp_gap_pct()
-       << ", \"worklist_converged\": " << (e.solver.worklist_converged ? "true" : "false")
-       << ", \"full_sweep_converged\": " << (e.solver.full_sweep_converged ? "true" : "false")
-       << ", \"both_audit_clean\": " << (e.solver.both_audit_clean ? "true" : "false")
-       << "},\n";
     // hot_paths is always an object with a stable key set; a quadratic
     // baseline that the time budget skipped emits a per-field marker
     // instead of a number (never a null blob).
@@ -635,20 +613,6 @@ int main(int argc, char** argv) {
     for (const LegalizerKind kind : flows) {
       e.flows.push_back(run_flow(gp_nl, kind, abacus_baseline));
     }
-    {
-      // qGDP worklist vs retained full-sweep oracle on the same GP
-      // layout — feeds the CI tq perf guard and the tolerance-contract
-      // divergence check.
-      const FlowSample wl = run_flow(gp_nl, LegalizerKind::kQgdp, abacus_baseline, false);
-      const FlowSample fs = run_flow(gp_nl, LegalizerKind::kQgdp, abacus_baseline, true);
-      e.solver.tq_worklist_ms = wl.tq_ms;
-      e.solver.tq_full_sweep_ms = fs.tq_ms;
-      e.solver.qubit_disp_worklist = wl.qubit_disp;
-      e.solver.qubit_disp_full_sweep = fs.qubit_disp;
-      e.solver.worklist_converged = wl.solver_converged;
-      e.solver.full_sweep_converged = fs.solver_converged;
-      e.solver.both_audit_clean = wl.audit_clean && fs.audit_clean;
-    }
     const Entry* prev = entries.empty() ? nullptr : &entries.back();
     e.hot = measure_hot_paths(
         gp_nl, prev, e.spec.qubit_count <= baseline_max_qubits ? baseline_budget_ms : 0.0);
@@ -696,13 +660,6 @@ int main(int argc, char** argv) {
             << (abacus_engines_match ? "incremental == repack at every size"
                                      : "OUTPUTS DIVERGED")
             << "\n";
-  if (!entries.empty()) {
-    const SolverDiff& s = entries.back().solver;
-    std::cout << "qgdp solver: worklist " << fmt(s.tq_worklist_ms, 1) << " ms vs full-sweep "
-              << fmt(s.tq_full_sweep_ms, 1) << " ms at " << entries.back().spec.qubit_count
-              << "q (ratio " << fmt(s.ratio(), 2) << ", disp gap " << fmt(s.disp_gap_pct(), 2)
-              << "%)\n";
-  }
   if (!jobs_sweep.empty()) {
     std::cout << "jobs determinism: "
               << (determinism_clean ? "positions byte-identical at every lane count"

@@ -55,11 +55,6 @@ options:
                     incremental cluster stacks (bit-identical output;
                     the differential/perf reference for abacus and
                     q-abacus flows)
-  --lg-full-sweep   run qubit legalization with the retained full-graph
-                    sweep solver instead of the worklist scheduler (the
-                    differential/perf oracle; see docs/ARCHITECTURE.md
-                    "Worklist scheduling")
-  --lg-no-banking   disable cluster banking inside the worklist solver
   --out FILE        write the final layout as .qlay
   --svg FILE        render the final layout as SVG
   --list            list built-in topologies and exit
@@ -135,8 +130,6 @@ int main(int argc, char** argv) {
   int gp_levels = 0;     // 0 = auto from component count
   std::size_t jobs = 0;  // 0 = hardware concurrency
   bool abacus_baseline = false;
-  bool lg_full_sweep = false;
-  bool lg_no_banking = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -182,10 +175,6 @@ int main(int argc, char** argv) {
       jobs = static_cast<std::size_t>(numeric_value(std::numeric_limits<std::size_t>::max()));
     } else if (arg == "--abacus-baseline") {
       abacus_baseline = true;
-    } else if (arg == "--lg-full-sweep") {
-      lg_full_sweep = true;
-    } else if (arg == "--lg-no-banking") {
-      lg_no_banking = true;
     } else if (arg == "--out") {
       out_file = value();
     } else if (arg == "--svg") {
@@ -232,9 +221,6 @@ int main(int argc, char** argv) {
   opt.legalizer = *flow;
   opt.run_detailed = run_dp && *flow == LegalizerKind::kQgdp;
   opt.abacus.repack_baseline = abacus_baseline;
-  opt.solver.full_sweep_baseline = lg_full_sweep;
-  opt.solver.banking = !lg_no_banking;
-  if (lg_full_sweep) opt.solver.start = DisplacementSolver::Start::kBoth;
   opt.gp.seed = seed;
   opt.gp.levels = gp_levels;
   opt.gp.jobs = jobs;

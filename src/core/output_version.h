@@ -8,6 +8,6 @@ namespace qgdp {
 /// are then stale. The durable layout cache stamps it into every entry
 /// (server/cache_store.h), so a daemon restarted on an older cache
 /// directory quarantines those entries instead of serving them.
-inline constexpr int kOutputVersion = 1;
+inline constexpr int kOutputVersion = 2;
 
 }  // namespace qgdp

@@ -43,10 +43,9 @@ struct PipelineOptions {
   AbacusLegalizerOptions abacus{};  ///< kAbacus / kQAbacus cost-engine options
   DetailedPlacerOptions dp{};
   /// Displacement-solver overrides for the qubit-legalization stage
-  /// (worklist scheduling vs full-sweep baseline, banking, tolerance
-  /// contract; see DisplacementSolver::Options). Applied on top of the
-  /// flow's quantum/classic preset.
-  DisplacementSolver::Options solver = MacroLegalizerOptions{}.solver;
+  /// (see DisplacementSolver::Options). Applied on top of the flow's
+  /// quantum/classic preset.
+  DisplacementSolver::Options solver{};
 };
 
 struct PipelineResult {

@@ -99,9 +99,6 @@ QubitLegalizeResult QubitLegalizer::legalize(QuantumNetlist& nl) const {
   res.relaxations = engine_res.relaxations;
   res.axis_flips = engine_res.axis_flips;
   res.solver_converged = engine_res.solver_converged;
-  res.solver_sweeps = engine_res.solver_sweeps;
-  res.solver_nodes_relaxed = engine_res.solver_nodes_relaxed;
-  res.solver_min_bodies = engine_res.solver_min_bodies;
   if (engine_res.success) {
     res.success = true;
     return res;

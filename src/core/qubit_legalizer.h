@@ -25,9 +25,6 @@ struct QubitLegalizeResult {
   /// reaching its fixed point (the layout is still verified feasible).
   /// Stays true on the greedy fallback path, which has no solver.
   bool solver_converged{true};
-  int solver_sweeps{0};
-  long long solver_nodes_relaxed{0};
-  int solver_min_bodies{0};  ///< smallest body count banking reached
 };
 
 class QubitLegalizer {

@@ -16,9 +16,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Arcs within this slack of equality are "tight" and clump rigidly.
 constexpr double kTightEps = 1e-7;
-/// Post-hoc feasibility verification tolerance. The worklist tolerance
-/// contract caps Options::dirty_eps at kFeasEps / 2 so the stale slack
-/// a hysteresis-parked node can carry never masks a real violation.
+/// Post-hoc feasibility verification tolerance.
 constexpr double kFeasEps = 1e-7;
 }
 
@@ -173,7 +171,6 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
   assert(target.size() == n);
   Solution sol;
   sol.position.assign(n, 0.0);
-  sol.min_bodies = static_cast<int>(n);
   const auto& order = g.topo_order();
   if (order.empty() && n > 0) return sol;  // cyclic: infeasible
 
@@ -240,47 +237,7 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
     }
     return std::min(a, b);
   };
-  // Arc-only variants (box bounds folded in by the caller). max/min
-  // select without rounding, so splitting the box term off produces
-  // the identical combined bound as fold_lo/fold_hi.
-  auto fold_arc_lo = [&](int u, const double* xs) {
-    const int k0 = in.off[static_cast<std::size_t>(u)];
-    const int k1 = in.off[static_cast<std::size_t>(u) + 1];
-    double a = -std::numeric_limits<double>::infinity();
-    double b = -std::numeric_limits<double>::infinity();
-    int k = k0;
-    for (; k + 1 < k1; k += 2) {
-      a = std::max(a, xs[in.node[static_cast<std::size_t>(k)]] +
-                          in.gap[static_cast<std::size_t>(k)]);
-      b = std::max(b, xs[in.node[static_cast<std::size_t>(k + 1)]] +
-                          in.gap[static_cast<std::size_t>(k + 1)]);
-    }
-    if (k < k1) {
-      a = std::max(a, xs[in.node[static_cast<std::size_t>(k)]] +
-                          in.gap[static_cast<std::size_t>(k)]);
-    }
-    return std::max(a, b);
-  };
-  auto fold_arc_hi = [&](int u, const double* xs) {
-    const int k0 = out.off[static_cast<std::size_t>(u)];
-    const int k1 = out.off[static_cast<std::size_t>(u) + 1];
-    double a = std::numeric_limits<double>::infinity();
-    double b = std::numeric_limits<double>::infinity();
-    int k = k0;
-    for (; k + 1 < k1; k += 2) {
-      a = std::min(a, xs[out.node[static_cast<std::size_t>(k)]] -
-                          out.gap[static_cast<std::size_t>(k)]);
-      b = std::min(b, xs[out.node[static_cast<std::size_t>(k + 1)]] -
-                          out.gap[static_cast<std::size_t>(k + 1)]);
-    }
-    if (k < k1) {
-      a = std::min(a, xs[out.node[static_cast<std::size_t>(k)]] -
-                          out.gap[static_cast<std::size_t>(k)]);
-    }
-    return std::min(a, b);
-  };
   auto relax_node = [&](int u, double& moved) {
-    ++sol.nodes_relaxed;
     const double lo = fold_lo(u, x.data());
     const double hi = fold_hi(u, x.data());
     if (lo > hi) return;  // neighbours pin this node; keep position
@@ -420,7 +377,6 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
         x[static_cast<std::size_t>(member_items[static_cast<std::size_t>(m)])] += s;
       }
       moved += std::abs(s) * static_cast<double>(m_hi - m_lo);
-      ++sol.clusters_shifted;
     }
     return moved;
   };
@@ -434,12 +390,11 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
     return o;
   };
 
-  // ---- full-sweep baseline refinement (historical behaviour) --------
-  // Every sweep relaxes all n nodes and re-clumps the whole graph.
-  // Positions are bit-identical to the pre-worklist solver; the
-  // differential tests and the CI perf guard pin the worklist
-  // scheduler against this path.
-  auto refine_full = [&](std::vector<double> init, bool& conv) {
+  // Full-sweep refinement: every sweep relaxes all n nodes, alternating
+  // backward and forward topological order, then re-clumps the whole
+  // graph, until the total movement of a sweep drops below
+  // convergence_eps or max_sweeps is reached.
+  auto refine = [&](std::vector<double> init, bool& conv) {
     x = std::move(init);
     conv = false;
     for (int s = 0; s < opt_.max_sweeps; ++s) {
@@ -460,895 +415,17 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
     return x;
   };
 
-  // ---- worklist-scheduled refinement (default) ----------------------
-  // Round 1 is a full sweep; afterwards only *dirty* nodes — nodes
-  // whose incoming slack changed by more than the tolerance contract
-  // since their last projection — are re-projected. The clump phase is
-  // hybrid: while the seeded set is dense the whole graph is
-  // re-clumped with the same union-find machinery as the baseline
-  // (linear passes beat pointer-chasing when most of the graph is
-  // active); once activity localizes, tight components are flooded
-  // outward from the seeded atoms only. Components whose membership
-  // stays fixed for bank_patience consecutive processings are banked
-  // into one super-node the scheduler can move — or, more importantly,
-  // leave alone — in O(external arcs) (see docs/ARCHITECTURE.md).
-  const double dirty_eps =
-      std::clamp(opt_.dirty_eps, opt_.convergence_eps, kFeasEps / 2);
-  struct Bank {
-    std::vector<int> members;              ///< ascending node ids
-    std::vector<DiffConstraint> ext_in;    ///< arcs entering from outside
-    std::vector<DiffConstraint> ext_out;   ///< arcs leaving to outside
-    double median0{0.0};       ///< weighted median residual at formation
-    double lo0{-kInf};         ///< rigid shift range at formation…
-    double hi0{kInf};          ///< …relative to formation positions
-    double shifted{0.0};       ///< cumulative rigid shift since formation
-    int stamp{0};              ///< flood stamp (bank absorbed as one atom)
-    bool live{false};
-  };
-  std::vector<char> dirty(n, 1);
-  std::vector<char> seeded(n, 1);  ///< atom seeds the next clump flood
-  std::vector<double> pending(n, 0.0);
-  std::vector<int> bank_of(n, -1);
-  std::vector<Bank> banks;
-  int live_banks = 0;
-  int banked_nodes = 0;
-  // Component stability per membership fingerprint, keyed by min id.
-  std::vector<long long> comp_sig(n, 0);
-  std::vector<int> comp_stable(n, 0);
-  // Flood scratch: one stamp per flooded component, monotonic across
-  // rounds; round_base is the stamp at the start of the current clump
-  // phase, so `comp_stamp[u] > round_base` means "already in some
-  // component this round".
-  std::vector<int> comp_stamp(n, 0);
-  int stamp = 0;
-  int round_base = 0;
-  std::vector<int> comp_free, comp_nodes, comp_banks, flood_stack, bank_queue, seeds;
-  // Boundary arcs of the component being processed — the only arcs a
-  // rigid shift can change the slack of. The dense path slices them
-  // out of the per-root boundary CSR; the flood path collects them
-  // during traversal (an arc of an expanded atom that did not absorb
-  // its other endpoint is a boundary candidate; a post-filter drops
-  // the internal non-tight ones).
-  std::vector<DiffConstraint> comp_bnd;
-
-  // A move worth broadcasting re-dirties the node's neighbourhood and
-  // re-seeds the clump flood around it. Sub-dirty_eps moves instead
-  // accumulate in `pending` (hysteresis): fp-dust can never re-dirty a
-  // neighbourhood, but systematic creep still propagates once the sum
-  // crosses the contract.
-  auto mark_dirty_around = [&](int u) {
-    seeded[static_cast<std::size_t>(u)] = 1;
-    for (int k = in.off[static_cast<std::size_t>(u)];
-         k < in.off[static_cast<std::size_t>(u) + 1]; ++k) {
-      const auto p = static_cast<std::size_t>(in.node[static_cast<std::size_t>(k)]);
-      dirty[p] = 1;
-      seeded[p] = 1;
-    }
-    for (int k = out.off[static_cast<std::size_t>(u)];
-         k < out.off[static_cast<std::size_t>(u) + 1]; ++k) {
-      const auto v = static_cast<std::size_t>(out.node[static_cast<std::size_t>(k)]);
-      dirty[v] = 1;
-      seeded[v] = 1;
-    }
-  };
-  // Arc-only bound folds remembered from each node's last projection.
-  // A rigid shift moves every in-component neighbour by the same s, so
-  // these stay exact (up to fp dust the contract absorbs) under
-  // `arc_lo/arc_hi += s` — which is what lets shift_member decide
-  // "could this member want to bend?" without touching its arcs.
-  std::vector<double> arc_lo(n, -kInf);
-  std::vector<double> arc_hi(n, kInf);
-  // Dissolving a bank does NOT blanket-re-dirty its members: their
-  // remembered arc folds stayed exact under the bank's rigid shifts,
-  // so the same lazy bend check a shift runs decides who actually
-  // needs a fresh projection. Whoever triggered the debank (a bending
-  // member's broadcast, or the squeezing neighbour component's
-  // boundary seeding) already left a seed trail for the clump flood;
-  // the fixed-point dissolve before convergence needs none, because a
-  // parked bank's rigid shift was just priced at ~0.
-  auto debank = [&](int bi) {
-    Bank& b = banks[static_cast<std::size_t>(bi)];
-    for (const int u : b.members) {
-      const auto uz = static_cast<std::size_t>(u);
-      bank_of[uz] = -1;
-      pending[uz] = 0.0;
-      if (dirty[uz]) continue;
-      const double xx = x[uz];
-      const double t = target[uz];
-      if (t < xx) {
-        if (std::max(arc_lo[uz], g.lower(u)) < xx) dirty[uz] = 1;
-      } else if (t > xx) {
-        if (std::min(arc_hi[uz], g.upper(u)) > xx) dirty[uz] = 1;
-      }
-    }
-    // Re-banking backoff: a component that just proved unstable must
-    // demonstrate stability for twice the patience before it banks
-    // again, so a bend-y cluster cannot thrash bank/debank every round.
-    comp_sig[static_cast<std::size_t>(b.members.front())] = 0;
-    comp_stable[static_cast<std::size_t>(b.members.front())] = -opt_.bank_patience;
-    banked_nodes -= static_cast<int>(b.members.size());
-    --live_banks;
-    b.live = false;
-    ++sol.debanks;
-  };
-  // Individual projection of a dirty node. Banked nodes are not moved,
-  // but a dirty banked node *checks* its projection: if it wants to
-  // move by more than the contract, the bank's frozen internal slacks
-  // are no longer optimal — debank and take the move. This is the
-  // divergence detector that keeps banking honest: members are marked
-  // dirty whenever an external neighbour or their own bank moved.
-  auto relax_dirty = [&](int u, double& moved) {
-    const auto uz = static_cast<std::size_t>(u);
-    if (!dirty[uz]) return;
-    dirty[uz] = 0;
-    ++sol.nodes_relaxed;
-    const double alo = fold_arc_lo(u, x.data());
-    const double ahi = fold_arc_hi(u, x.data());
-    arc_lo[uz] = alo;
-    arc_hi[uz] = ahi;
-    const double lo = std::max(alo, g.lower(u));
-    const double hi = std::min(ahi, g.upper(u));
-    if (lo > hi) return;  // neighbours pin this node; keep position
-    const double nx = std::clamp(target[uz], lo, hi);
-    const double d = std::abs(nx - x[uz]);
-    const int bi = bank_of[uz];
-    if (bi >= 0) {
-      if (d <= dirty_eps) return;  // bank still optimal for this node
-      debank(bi);
-    }
-    if (d == 0.0) return;
-    x[uz] = nx;
-    moved += d;
-    pending[uz] += d;
-    if (pending[uz] > dirty_eps) {
-      pending[uz] = 0.0;
-      mark_dirty_around(u);
-    }
-  };
-  // Moves one member of a rigidly shifting component/bank and runs the
-  // lazy bend check: the member can want to leave the rigid position
-  // only if its target pulls to a side where its remembered fold still
-  // leaves room. Chain-pinned members (fold == position on the pulled
-  // side) stay clean — this is what keeps a drifting thousand-node
-  // cluster from re-dirtying itself every round. Comparisons are
-  // strict: a fold stale by less than dirty_eps (pending hysteresis)
-  // can only hide a sub-contract bend, which the tolerance contract
-  // explicitly licenses.
-  auto shift_member = [&](int u, double s) {
-    const auto uz = static_cast<std::size_t>(u);
-    x[uz] += s;
-    arc_lo[uz] += s;
-    arc_hi[uz] += s;
-    if (dirty[uz]) return;
-    const double xx = x[uz];
-    const double t = target[uz];
-    if (t < xx) {
-      if (std::max(arc_lo[uz], g.lower(u)) < xx) dirty[uz] = 1;
-    } else if (t > xx) {
-      if (std::min(arc_hi[uz], g.upper(u)) > xx) dirty[uz] = 1;
-    }
-  };
-  // One boundary arc of the component being chain-processed, in
-  // join-normalized coordinates: `base` is chosen so the arc's live
-  // slack after a cumulative component shift S is `base + S` for
-  // incoming arcs and `base - S` for outgoing ones — repricing a chain
-  // step never touches member positions. `inner` is the component-side
-  // endpoint, `outer` the external one.
-  struct BndEntry {
-    double base;
-    double gap;
-    int inner;
-    int outer;
-  };
-  std::vector<BndEntry> bnd_in, bnd_out;
-  std::vector<double> join_S(n, 0.0);  ///< cumulative shift when the member joined
-  // Weighted streaming median over join-normalized residuals: a
-  // max-heap below / min-heap above split so the low side's top is the
-  // first ascending residual whose cumulative weight reaches half the
-  // total — the same selection rule the baseline's sort-and-scan uses.
-  std::vector<std::pair<double, double>> med_lo, med_hi;
-  double med_wlo = 0.0, med_wtot = 0.0;
-  auto med_insert = [&](double v, double w) {
-    med_wtot += w;
-    if (med_lo.empty() || v <= med_lo.front().first) {
-      med_lo.emplace_back(v, w);
-      std::push_heap(med_lo.begin(), med_lo.end());
-      med_wlo += w;
-    } else {
-      med_hi.emplace_back(v, w);
-      std::push_heap(med_hi.begin(), med_hi.end(), std::greater<>());
-    }
-    while (med_wlo - med_lo.front().second >= med_wtot / 2) {
-      const auto e = med_lo.front();
-      std::pop_heap(med_lo.begin(), med_lo.end());
-      med_lo.pop_back();
-      med_wlo -= e.second;
-      med_hi.push_back(e);
-      std::push_heap(med_hi.begin(), med_hi.end(), std::greater<>());
-    }
-    while (med_wlo < med_wtot / 2 && !med_hi.empty()) {
-      const auto e = med_hi.front();
-      std::pop_heap(med_hi.begin(), med_hi.end(), std::greater<>());
-      med_hi.pop_back();
-      med_lo.push_back(e);
-      std::push_heap(med_lo.begin(), med_lo.end());
-      med_wlo += e.second;
-    }
-  };
-  // Collapses the current component into one bank. Weighted median and
-  // rigid bound range are folded once, here; the remaining boundary
-  // entries become the external arc copies that let later rounds price
-  // the bank's live slacks in O(ext).
-  auto form_bank = [&]() {
-    const int bi = static_cast<int>(banks.size());
-    banks.emplace_back();
-    Bank& b = banks.back();
-    std::sort(comp_nodes.begin(), comp_nodes.end());
-    b.members = comp_nodes;
-    b.live = true;
-    b.stamp = stamp;
-    residual.clear();
-    double total_w = 0.0;
-    for (const int u : b.members) {
-      const auto uz = static_cast<std::size_t>(u);
-      const double w = weight.empty() ? 1.0 : weight[uz];
-      residual.emplace_back(target[uz] - x[uz], w);
-      total_w += w;
-      b.lo0 = std::max(b.lo0, g.lower(u) - x[uz]);
-      b.hi0 = std::min(b.hi0, g.upper(u) - x[uz]);
-      bank_of[uz] = bi;
-      pending[uz] = 0.0;
-    }
-    std::sort(residual.begin(), residual.end());
-    double acc = 0.0;
-    b.median0 = residual.back().first;
-    for (const auto& [v, w] : residual) {
-      acc += w;
-      if (acc >= total_w / 2) {
-        b.median0 = v;
-        break;
-      }
-    }
-    for (const auto& e : bnd_in) {
-      if (comp_stamp[static_cast<std::size_t>(e.outer)] != stamp) {
-        b.ext_in.push_back({e.outer, e.inner, e.gap});
-      }
-    }
-    for (const auto& e : bnd_out) {
-      if (comp_stamp[static_cast<std::size_t>(e.outer)] != stamp) {
-        b.ext_out.push_back({e.inner, e.outer, e.gap});
-      }
-    }
-    banked_nodes += static_cast<int>(b.members.size());
-    ++live_banks;
-    ++sol.banks_formed;
-  };
-  // Fast path: the component is exactly one live bank. Bounds and the
-  // median come from the formation-time folds (exact under rigid
-  // shifts); only the external arc slacks are priced live. A shift
-  // runs each member through the lazy bend check, so only members
-  // that could actually want to bend (and so possibly debank) are
-  // re-projected next round.
-  auto process_single_bank = [&](int bi, double& moved) {
-    Bank& b = banks[static_cast<std::size_t>(bi)];
-    double shift_lo = b.lo0 - b.shifted;
-    double shift_hi = b.hi0 - b.shifted;
-    for (const auto& a : b.ext_in) {
-      shift_lo = std::max(shift_lo, -(x[static_cast<std::size_t>(a.to)] -
-                                      x[static_cast<std::size_t>(a.from)] - a.gap));
-    }
-    for (const auto& a : b.ext_out) {
-      shift_hi = std::min(shift_hi, x[static_cast<std::size_t>(a.to)] -
-                                        x[static_cast<std::size_t>(a.from)] - a.gap);
-    }
-    if (shift_lo > shift_hi) {
-      debank(bi);  // externally squeezed: internal slack must give
-      return;
-    }
-    const double s = std::clamp(b.median0 - b.shifted, shift_lo, shift_hi);
-    if (std::abs(s) <= kTightEps) return;  // parked; costs nothing
-    for (const int u : b.members) shift_member(u, s);
-    b.shifted += s;
-    seeded[static_cast<std::size_t>(b.members.front())] = 1;
-    for (const auto& a : b.ext_in) {
-      const auto p = static_cast<std::size_t>(a.from);
-      dirty[p] = 1;
-      seeded[p] = 1;
-      dirty[static_cast<std::size_t>(a.to)] = 1;
-    }
-    for (const auto& a : b.ext_out) {
-      const auto v = static_cast<std::size_t>(a.to);
-      dirty[v] = 1;
-      seeded[v] = 1;
-      dirty[static_cast<std::size_t>(a.from)] = 1;
-    }
-    moved += std::abs(s) * static_cast<double>(b.members.size());
-    ++sol.clusters_shifted;
-  };
-  // Chained component processing. A tight component's optimal rigid
-  // move is the weighted median of its residuals clamped by box bounds
-  // and boundary arc slacks; when the clamp is a boundary arc, the arc
-  // is now tight — instead of parking until the next round (which is
-  // what made the mega-cluster drift super-linear: one absorb per
-  // round), the atom across it joins the component immediately and the
-  // merged component reprices. Joining and repricing are O(new atom's
-  // arcs + boundary): positions, box folds, residuals and slacks are
-  // all kept join-normalized, so the accumulated shift S never forces
-  // a member rescan. Members are only physically moved once, at the
-  // end, by their own join-relative share.
-  auto process_component = [&](double& moved) {
-    if (comp_nodes.size() < 2) return;
-    for (const int bi : comp_banks) {
-      if (banks[static_cast<std::size_t>(bi)].live) debank(bi);
-    }
-    double S = 0.0;
-    double box_lo = -kInf;
-    double box_hi = kInf;
-    long long key = comp_nodes.front();
-    med_lo.clear();
-    med_hi.clear();
-    med_wlo = med_wtot = 0.0;
-    for (const int u : comp_nodes) {
-      const auto uz = static_cast<std::size_t>(u);
-      join_S[uz] = 0.0;
-      key = std::min(key, static_cast<long long>(u));
-      med_insert(target[uz] - x[uz], weight.empty() ? 1.0 : weight[uz]);
-      box_lo = std::max(box_lo, g.lower(u) - x[uz]);
-      box_hi = std::min(box_hi, g.upper(u) - x[uz]);
-    }
-    bnd_in.clear();
-    bnd_out.clear();
-    for (const auto& a : comp_bnd) {
-      const double slack =
-          x[static_cast<std::size_t>(a.to)] - x[static_cast<std::size_t>(a.from)] - a.gap;
-      if (comp_stamp[static_cast<std::size_t>(a.from)] == stamp) {
-        bnd_out.push_back({slack, a.gap, a.from, a.to});
-      } else {
-        bnd_in.push_back({slack, a.gap, a.to, a.from});
-      }
-    }
-    auto by_base = [](const BndEntry& a, const BndEntry& b) { return a.base > b.base; };
-    std::make_heap(bnd_in.begin(), bnd_in.end(), by_base);
-    std::make_heap(bnd_out.begin(), bnd_out.end(), by_base);
-    // Absorbs `u` into the running chain at the current cumulative
-    // shift. The newly internal node is always left dirty: its arc
-    // folds (and those across any arc this join retires) go stale by
-    // the *relative* shift between the two sides, which the uniform
-    // fold update cannot track.
-    auto chain_join = [&](int u) {
-      const auto uz = static_cast<std::size_t>(u);
-      comp_stamp[uz] = stamp;
-      comp_nodes.push_back(u);
-      join_S[uz] = S;
-      dirty[uz] = 1;
-      key = std::min(key, static_cast<long long>(u));
-      const int bi = bank_of[uz];
-      if (bi >= 0 && banks[static_cast<std::size_t>(bi)].live) {
-        debank(bi);  // members rejoin through their own binding arcs
-      }
-      med_insert(target[uz] - x[uz] + S, weight.empty() ? 1.0 : weight[uz]);
-      box_lo = std::max(box_lo, g.lower(u) - x[uz] + S);
-      box_hi = std::min(box_hi, g.upper(u) - x[uz] + S);
-      for (int k = in.off[uz]; k < in.off[uz + 1]; ++k) {
-        const int p = in.node[static_cast<std::size_t>(k)];
-        if (comp_stamp[static_cast<std::size_t>(p)] == stamp) {
-          dirty[static_cast<std::size_t>(p)] = 1;  // arc became internal
-          continue;
-        }
-        const double gap = in.gap[static_cast<std::size_t>(k)];
-        bnd_in.push_back({x[uz] - x[static_cast<std::size_t>(p)] - gap - S, gap, u, p});
-        std::push_heap(bnd_in.begin(), bnd_in.end(), by_base);
-      }
-      for (int k = out.off[uz]; k < out.off[uz + 1]; ++k) {
-        const int v = out.node[static_cast<std::size_t>(k)];
-        if (comp_stamp[static_cast<std::size_t>(v)] == stamp) {
-          dirty[static_cast<std::size_t>(v)] = 1;
-          continue;
-        }
-        const double gap = out.gap[static_cast<std::size_t>(k)];
-        bnd_out.push_back({x[static_cast<std::size_t>(v)] - x[uz] - gap + S, gap, u, v});
-        std::push_heap(bnd_out.begin(), bnd_out.end(), by_base);
-      }
-    };
-    // Lazily drop heap tops whose outer endpoint has joined through
-    // another arc — that arc is internal now, and its inner side's
-    // folds are stale by the relative shift, so it goes dirty.
-    auto drop_stale = [&](std::vector<BndEntry>& heap) {
-      while (!heap.empty() &&
-             comp_stamp[static_cast<std::size_t>(heap.front().outer)] == stamp) {
-        dirty[static_cast<std::size_t>(heap.front().inner)] = 1;
-        std::pop_heap(heap.begin(), heap.end(), by_base);
-        heap.pop_back();
-      }
-    };
-    const int max_steps = 4 * static_cast<int>(n) + 8;
-    const int kChainBudget = opt_.chain_budget > 0 ? opt_.chain_budget : (1 << 30);
-    int joins = 0;
-    for (int step = 0; step < max_steps; ++step) {
-      drop_stale(bnd_in);
-      drop_stale(bnd_out);
-      const double shift_lo =
-          std::max(box_lo - S, bnd_in.empty() ? -kInf : -(bnd_in.front().base + S));
-      const double shift_hi =
-          std::min(box_hi - S, bnd_out.empty() ? kInf : bnd_out.front().base - S);
-      if (shift_lo > shift_hi) break;  // fp dust squeezed the window shut
-      const double m = (med_lo.empty() ? 0.0 : med_lo.front().first) - S;
-      const double s = std::clamp(m, shift_lo, shift_hi);
-      if (std::abs(s) > kTightEps) {
-        S += s;
-        ++sol.clusters_shifted;
-      }
-      // Absorb only what *binds*: the arcs now tight on the side the
-      // median still pushes toward. A tight arc the component is not
-      // pushing into stays external — merging it would weld clusters
-      // the optimum wants separated (that over-merge is exactly what
-      // regressed quality in the first chained draft).
-      bool absorbed = false;
-      if (joins >= kChainBudget) {
-        // chain budget spent: park; the next round continues the drift
-      } else if (m - s > kTightEps) {
-        drop_stale(bnd_out);
-        while (!bnd_out.empty() && bnd_out.front().base - S <= kTightEps) {
-          const BndEntry e = bnd_out.front();
-          std::pop_heap(bnd_out.begin(), bnd_out.end(), by_base);
-          bnd_out.pop_back();
-          if (comp_stamp[static_cast<std::size_t>(e.outer)] != stamp) {
-            dirty[static_cast<std::size_t>(e.inner)] = 1;
-            chain_join(e.outer);
-            ++joins;
-            absorbed = true;
-          }
-          drop_stale(bnd_out);
-        }
-      } else if (m - s < -kTightEps) {
-        drop_stale(bnd_in);
-        while (!bnd_in.empty() && bnd_in.front().base + S <= kTightEps) {
-          const BndEntry e = bnd_in.front();
-          std::pop_heap(bnd_in.begin(), bnd_in.end(), by_base);
-          bnd_in.pop_back();
-          if (comp_stamp[static_cast<std::size_t>(e.outer)] != stamp) {
-            dirty[static_cast<std::size_t>(e.inner)] = 1;
-            chain_join(e.outer);
-            ++joins;
-            absorbed = true;
-          }
-          drop_stale(bnd_in);
-        }
-      }
-      if (!absorbed && std::abs(s) <= kTightEps) break;
-    }
-    if (S != 0.0 || comp_nodes.size() > 1) {
-      for (const int u : comp_nodes) {
-        const double d = S - join_S[static_cast<std::size_t>(u)];
-        if (d != 0.0) {
-          moved += std::abs(d);
-          shift_member(u, d);
-        }
-      }
-    }
-    if (S != 0.0) {
-      seeded[static_cast<std::size_t>(comp_nodes.front())] = 1;
-      for (const auto& e : bnd_in) {
-        dirty[static_cast<std::size_t>(e.outer)] = 1;
-        seeded[static_cast<std::size_t>(e.outer)] = 1;
-        dirty[static_cast<std::size_t>(e.inner)] = 1;
-      }
-      for (const auto& e : bnd_out) {
-        dirty[static_cast<std::size_t>(e.outer)] = 1;
-        seeded[static_cast<std::size_t>(e.outer)] = 1;
-        dirty[static_cast<std::size_t>(e.inner)] = 1;
-      }
-    }
-    if (!opt_.banking) return;
-    // A component whose membership survives bank_patience consecutive
-    // processings is a banking candidate — moving rigidly or parked,
-    // either way the scheduler stops paying per-member for it. The
-    // fingerprint is commutative (members join in chain order), keyed
-    // by the smallest member id; any membership change resets the
-    // clock.
-    const auto kz = static_cast<std::size_t>(key);
-    long long h = static_cast<long long>(comp_nodes.size());
-    for (const int u : comp_nodes) h += (u + 1) * 1099511628211LL;
-    if (comp_sig[kz] == h) {
-      ++comp_stable[kz];
-    } else {
-      comp_sig[kz] = h;
-      comp_stable[kz] = 1;
-    }
-    if (comp_stable[kz] >= opt_.bank_patience) {
-      form_bank();
-      comp_stable[kz] = 0;
-    }
-  };
-  // Flood one tight component outward from a seed. An atom is either a
-  // free node or a whole bank: banks are absorbed without expanding
-  // their internals — tight expansion continues through the bank's
-  // boundary arc copies. Atoms already claimed by an earlier component
-  // this round are treated as external (their arcs then clamp the
-  // shift like any boundary slack, and the merged move happens next
-  // round) so every atom is processed at most once per round.
-  auto absorb = [&](int u) {
-    const int bi = bank_of[static_cast<std::size_t>(u)];
-    if (bi >= 0) {
-      Bank& b = banks[static_cast<std::size_t>(bi)];
-      if (b.stamp == stamp || b.stamp > round_base) return;
-      b.stamp = stamp;
-      comp_banks.push_back(bi);
-      bank_queue.push_back(bi);
-    } else {
-      if (comp_stamp[static_cast<std::size_t>(u)] == stamp ||
-          comp_stamp[static_cast<std::size_t>(u)] > round_base) {
-        return;
-      }
-      comp_stamp[static_cast<std::size_t>(u)] = stamp;
-      comp_free.push_back(u);
-      flood_stack.push_back(u);
-    }
-  };
-  auto flood_from = [&](int s0) {
-    comp_free.clear();
-    comp_banks.clear();
-    comp_bnd.clear();
-    flood_stack.clear();
-    bank_queue.clear();
-    ++stamp;
-    absorb(s0);
-    while (!flood_stack.empty() || !bank_queue.empty()) {
-      if (!flood_stack.empty()) {
-        const int u = flood_stack.back();
-        flood_stack.pop_back();
-        const auto uz = static_cast<std::size_t>(u);
-        for (int k = in.off[uz]; k < in.off[uz + 1]; ++k) {
-          const int p = in.node[static_cast<std::size_t>(k)];
-          const double gap = in.gap[static_cast<std::size_t>(k)];
-          if (std::abs(x[uz] - x[static_cast<std::size_t>(p)] - gap) <= kTightEps) {
-            absorb(p);
-          } else {
-            comp_bnd.push_back({p, u, gap});
-          }
-        }
-        for (int k = out.off[uz]; k < out.off[uz + 1]; ++k) {
-          const int v = out.node[static_cast<std::size_t>(k)];
-          const double gap = out.gap[static_cast<std::size_t>(k)];
-          if (std::abs(x[static_cast<std::size_t>(v)] - x[uz] - gap) <= kTightEps) {
-            absorb(v);
-          } else {
-            comp_bnd.push_back({u, v, gap});
-          }
-        }
-      } else {
-        const int qbi = bank_queue.back();
-        bank_queue.pop_back();
-        const std::size_t before = comp_bnd.size();
-        {
-          const Bank& b = banks[static_cast<std::size_t>(qbi)];
-          comp_bnd.insert(comp_bnd.end(), b.ext_in.begin(), b.ext_in.end());
-          comp_bnd.insert(comp_bnd.end(), b.ext_out.begin(), b.ext_out.end());
-        }
-        for (std::size_t i = before, e = comp_bnd.size(); i < e; ++i) {
-          const DiffConstraint a = comp_bnd[i];
-          if (std::abs(x[static_cast<std::size_t>(a.to)] -
-                       x[static_cast<std::size_t>(a.from)] - a.gap) <= kTightEps) {
-            const int other = comp_stamp[static_cast<std::size_t>(a.from)] == stamp ||
-                                      (bank_of[static_cast<std::size_t>(a.from)] == qbi)
-                                  ? a.to
-                                  : a.from;
-            absorb(other);
-          }
-        }
-      }
-    }
-  };
-  // Materializes comp_nodes (free nodes + every bank member, stamped)
-  // for the generic path, then drops boundary candidates that turned
-  // out to be internal (both endpoints absorbed); the single-bank fast
-  // path never needs either.
-  auto materialize = [&]() {
-    comp_nodes = comp_free;
-    for (const int bi : comp_banks) {
-      for (const int m : banks[static_cast<std::size_t>(bi)].members) {
-        comp_stamp[static_cast<std::size_t>(m)] = stamp;
-        comp_nodes.push_back(m);
-      }
-    }
-    std::sort(comp_nodes.begin(), comp_nodes.end());
-    std::size_t w = 0;
-    for (const auto& a : comp_bnd) {
-      const bool fin = comp_stamp[static_cast<std::size_t>(a.from)] == stamp;
-      const bool tin = comp_stamp[static_cast<std::size_t>(a.to)] == stamp;
-      if (fin != tin) comp_bnd[w++] = a;
-    }
-    comp_bnd.resize(w);
-  };
-  // Dense-round clump: same union-find + counting-sort partition and
-  // per-root boundary CSR as the baseline clump_pass (linear passes
-  // win when most of the graph is seeded), but per-component
-  // processing goes through the shared banking-aware path.
-  auto clump_round_full = [&](double& moved) {
-    UnionFind uf(n);
-    for (const auto& a : arcs) {
-      if (std::abs(x[static_cast<std::size_t>(a.to)] - x[static_cast<std::size_t>(a.from)] -
-                   a.gap) <= kTightEps) {
-        uf.unite(static_cast<std::size_t>(a.from), static_cast<std::size_t>(a.to));
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) root_of[i] = static_cast<int>(uf.find(i));
-    member_off.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) ++member_off[static_cast<std::size_t>(root_of[i]) + 1];
-    for (std::size_t r = 0; r < n; ++r) member_off[r + 1] += member_off[r];
-    member_items.resize(n);
-    {
-      std::vector<int> cursor(member_off.begin(), member_off.end() - 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        member_items[static_cast<std::size_t>(cursor[static_cast<std::size_t>(root_of[i])]++)] =
-            static_cast<int>(i);
-      }
-    }
-    boundary_off.assign(n + 1, 0);
-    for (const auto& a : arcs) {
-      const int rf = root_of[static_cast<std::size_t>(a.from)];
-      const int rt = root_of[static_cast<std::size_t>(a.to)];
-      if (rf == rt) continue;
-      ++boundary_off[static_cast<std::size_t>(rf) + 1];
-      ++boundary_off[static_cast<std::size_t>(rt) + 1];
-    }
-    for (std::size_t r = 0; r < n; ++r) boundary_off[r + 1] += boundary_off[r];
-    boundary_items.resize(boundary_off[n]);
-    {
-      std::vector<int> cursor(boundary_off.begin(), boundary_off.end() - 1);
-      for (std::size_t k = 0; k < arcs.size(); ++k) {
-        const auto& a = arcs[k];
-        const int rf = root_of[static_cast<std::size_t>(a.from)];
-        const int rt = root_of[static_cast<std::size_t>(a.to)];
-        if (rf == rt) continue;
-        boundary_items[static_cast<std::size_t>(cursor[static_cast<std::size_t>(rf)]++)] =
-            static_cast<int>(k);
-        boundary_items[static_cast<std::size_t>(cursor[static_cast<std::size_t>(rt)]++)] =
-            static_cast<int>(k);
-      }
-    }
-    std::fill(seeded.begin(), seeded.end(), char{0});
-    for (std::size_t root = 0; root < n; ++root) {
-      const int m_lo = member_off[root];
-      const int m_hi = member_off[root + 1];
-      if (m_hi - m_lo < 2) continue;
-      // A chain from an earlier root may have absorbed this whole
-      // component already — one partition per round, don't re-process.
-      if (comp_stamp[static_cast<std::size_t>(
-              member_items[static_cast<std::size_t>(m_lo)])] > round_base) {
-        continue;
-      }
-      // Whole component is one live bank → O(ext) fast path, no
-      // stamping or boundary materialization needed.
-      {
-        const int bi0 = bank_of[static_cast<std::size_t>(
-            member_items[static_cast<std::size_t>(m_lo)])];
-        if (bi0 >= 0 &&
-            banks[static_cast<std::size_t>(bi0)].members.size() ==
-                static_cast<std::size_t>(m_hi - m_lo)) {
-          bool all = true;
-          for (int m = m_lo + 1; m < m_hi; ++m) {
-            if (bank_of[static_cast<std::size_t>(
-                    member_items[static_cast<std::size_t>(m)])] != bi0) {
-              all = false;
-              break;
-            }
-          }
-          if (all) {
-            process_single_bank(bi0, moved);
-            continue;
-          }
-        }
-      }
-      // Cheap tier: price the rigid move baseline-style straight off
-      // the member/boundary CSR slices — no stamping, no boundary
-      // materialization, no heaps. Only a component whose median
-      // pushes past its arc clamp (a chain would start), one holding
-      // a live bank, or one whose membership streak is about to reach
-      // bank_patience pays for the chained machinery below. During
-      // drift that is a handful of components per round; every other
-      // component costs what the full-sweep baseline pays.
-      {
-        bool has_bank = false;
-        double shift_lo = -kInf;
-        double shift_hi = kInf;
-        residual.clear();
-        residual.reserve(static_cast<std::size_t>(m_hi - m_lo));
-        double total_w = 0.0;
-        long long h = static_cast<long long>(m_hi - m_lo);
-        for (int m = m_lo; m < m_hi; ++m) {
-          const int u = member_items[static_cast<std::size_t>(m)];
-          const auto uz = static_cast<std::size_t>(u);
-          if (bank_of[uz] >= 0) {
-            has_bank = true;
-            break;
-          }
-          h += (u + 1) * 1099511628211LL;
-          shift_lo = std::max(shift_lo, g.lower(u) - x[uz]);
-          shift_hi = std::min(shift_hi, g.upper(u) - x[uz]);
-          const double w = weight.empty() ? 1.0 : weight[uz];
-          residual.emplace_back(target[uz] - x[uz], w);
-          total_w += w;
-        }
-        // member_items is ascending within a root, so front == min id,
-        // the same key process_component would use.
-        const auto kz = static_cast<std::size_t>(
-            member_items[static_cast<std::size_t>(m_lo)]);
-        const bool bank_due =
-            opt_.banking &&
-            (comp_sig[kz] == h ? comp_stable[kz] + 1 : 1) >= opt_.bank_patience;
-        if (!has_bank && !bank_due) {
-          for (int bk = boundary_off[root]; bk < boundary_off[root + 1]; ++bk) {
-            const auto& a = arcs[static_cast<std::size_t>(
-                boundary_items[static_cast<std::size_t>(bk)])];
-            const double slack = x[static_cast<std::size_t>(a.to)] -
-                                 x[static_cast<std::size_t>(a.from)] - a.gap;
-            if (root_of[static_cast<std::size_t>(a.from)] == static_cast<int>(root)) {
-              shift_hi = std::min(shift_hi, slack);
-            } else {
-              shift_lo = std::max(shift_lo, -slack);
-            }
-          }
-          double s = 0.0;
-          double m_med = 0.0;
-          if (shift_lo <= shift_hi) {
-            std::sort(residual.begin(), residual.end());
-            double acc = 0.0;
-            m_med = residual.back().first;
-            for (const auto& [v, w] : residual) {
-              acc += w;
-              if (acc >= total_w / 2) {
-                m_med = v;
-                break;
-              }
-            }
-            s = std::clamp(m_med, shift_lo, shift_hi);
-          }
-          // Median beyond the window on a side an arc clamps: the arc
-          // goes tight and a chain starts — that's the slow path's job.
-          if (std::abs(m_med - s) <= kTightEps || shift_lo > shift_hi) {
-            if (std::abs(s) > kTightEps) {
-              ++sol.clusters_shifted;
-              for (int m = m_lo; m < m_hi; ++m) {
-                const int u = member_items[static_cast<std::size_t>(m)];
-                moved += std::abs(s);
-                shift_member(u, s);
-              }
-              seeded[kz] = 1;
-              for (int bk = boundary_off[root]; bk < boundary_off[root + 1]; ++bk) {
-                const auto& a = arcs[static_cast<std::size_t>(
-                    boundary_items[static_cast<std::size_t>(bk)])];
-                const bool from_in =
-                    root_of[static_cast<std::size_t>(a.from)] == static_cast<int>(root);
-                const auto outer = static_cast<std::size_t>(from_in ? a.to : a.from);
-                const auto inner = static_cast<std::size_t>(from_in ? a.from : a.to);
-                dirty[outer] = 1;
-                seeded[outer] = 1;
-                dirty[inner] = 1;
-              }
-            }
-            if (opt_.banking) {
-              if (comp_sig[kz] == h) {
-                ++comp_stable[kz];
-              } else {
-                comp_sig[kz] = h;
-                comp_stable[kz] = 1;
-              }
-            }
-            continue;
-          }
-        }
-      }
-      ++stamp;
-      comp_nodes.assign(member_items.begin() + m_lo, member_items.begin() + m_hi);
-      comp_banks.clear();
-      for (const int u : comp_nodes) {
-        comp_stamp[static_cast<std::size_t>(u)] = stamp;
-        const int bi = bank_of[static_cast<std::size_t>(u)];
-        if (bi >= 0 && banks[static_cast<std::size_t>(bi)].stamp != stamp) {
-          banks[static_cast<std::size_t>(bi)].stamp = stamp;
-          comp_banks.push_back(bi);
-        }
-      }
-      comp_bnd.clear();
-      for (int bk = boundary_off[root]; bk < boundary_off[root + 1]; ++bk) {
-        comp_bnd.push_back(arcs[static_cast<std::size_t>(
-            boundary_items[static_cast<std::size_t>(bk)])]);
-      }
-      process_component(moved);
-    }
-  };
-  auto refine_worklist = [&](std::vector<double> init, bool& conv) {
-    x = std::move(init);
-    std::fill(dirty.begin(), dirty.end(), char{1});
-    std::fill(seeded.begin(), seeded.end(), char{1});
-    std::fill(pending.begin(), pending.end(), 0.0);
-    std::fill(bank_of.begin(), bank_of.end(), -1);
-    std::fill(comp_sig.begin(), comp_sig.end(), 0LL);
-    std::fill(comp_stable.begin(), comp_stable.end(), 0);
-    banks.clear();
-    live_banks = 0;
-    banked_nodes = 0;
-    conv = false;
-    for (int s = 0; s < opt_.max_sweeps; ++s) {
-      ++sol.sweeps_used;
-      double moved = 0.0;
-      // Both topological directions before each clump phase: slack
-      // changes propagate downstream and upstream in one round, which
-      // roughly halves the rounds the y-axis drift phase needs.
-      for (auto it = order.rbegin(); it != order.rend(); ++it) relax_dirty(*it, moved);
-      for (const int u : order) relax_dirty(u, moved);
-      // Clump phase: dense rounds re-clump everything with the linear
-      // union-find pass; sparse rounds flood only around the seeds.
-      std::size_t seed_count = 0;
-      for (std::size_t u = 0; u < n; ++u) {
-        if (seeded[u]) ++seed_count;
-      }
-      round_base = stamp;
-      if (seed_count * 8 > n) {
-        clump_round_full(moved);  // consumes (and clears) the seed set
-      } else {
-        seeds.clear();
-        for (std::size_t u = 0; u < n; ++u) {
-          if (seeded[u]) {
-            seeds.push_back(static_cast<int>(u));
-            seeded[u] = 0;
-          }
-        }
-        for (const int u : seeds) {
-          if (comp_stamp[static_cast<std::size_t>(u)] > round_base) continue;
-          const int sbi = bank_of[static_cast<std::size_t>(u)];
-          if (sbi >= 0 && banks[static_cast<std::size_t>(sbi)].stamp > round_base) continue;
-          flood_from(u);
-          if (comp_banks.size() == 1 && comp_free.empty()) {
-            process_single_bank(comp_banks.front(), moved);
-          } else if (comp_free.size() + comp_banks.size() > 1 || !comp_banks.empty()) {
-            materialize();
-            process_component(moved);
-          }
-        }
-      }
-      sol.min_bodies =
-          std::min(sol.min_bodies, static_cast<int>(n) - banked_nodes + live_banks);
-      if (moved < opt_.convergence_eps) {
-        if (live_banks == 0) {
-          conv = true;
-          break;
-        }
-        // Banked fixed point: dissolve every bank and spend the next
-        // rounds verifying it with free projections before declaring
-        // convergence.
-        for (std::size_t bi = 0; bi < banks.size(); ++bi) {
-          if (banks[bi].live) debank(static_cast<int>(bi));
-        }
-      }
-    }
-    return x;
-  };
-
+  const bool run_fwd = opt_.start != Start::kBackward;
+  const bool run_bwd = opt_.start != Start::kForward;
   bool conv_fwd = false;
   bool conv_bwd = false;
   std::vector<double> sol_fwd;
   std::vector<double> sol_bwd;
-  bool run_fwd = opt_.start != Start::kBackward;
-  bool run_bwd = opt_.start != Start::kForward;
-  if (opt_.start == Start::kAuto) {
-    // Refine only the init already nearest the targets (ties to
-    // forward, matching kBoth's tie-break).
-    const bool fwd_closer = objective_of(x_fwd) <= objective_of(x_bwd);
-    run_fwd = fwd_closer;
-    run_bwd = !fwd_closer;
-  }
-  if (opt_.full_sweep_baseline) {
-    if (run_fwd) sol_fwd = refine_full(std::move(x_fwd), conv_fwd);
-    if (run_bwd) sol_bwd = refine_full(std::move(x_bwd), conv_bwd);
-  } else {
-    if (run_fwd) sol_fwd = refine_worklist(std::move(x_fwd), conv_fwd);
-    if (run_bwd) sol_bwd = refine_worklist(std::move(x_bwd), conv_bwd);
-  }
+  if (run_fwd) sol_fwd = refine(std::move(x_fwd), conv_fwd);
+  if (run_bwd) sol_bwd = refine(std::move(x_bwd), conv_bwd);
   const bool pick_fwd =
       !run_bwd || (run_fwd && objective_of(sol_fwd) <= objective_of(sol_bwd));
-  x = pick_fwd ? sol_fwd : sol_bwd;
+  x = std::move(pick_fwd ? sol_fwd : sol_bwd);
   sol.converged = pick_fwd ? conv_fwd : conv_bwd;
 
   // Verify feasibility and compute the objective. This runs on the
@@ -1368,11 +445,7 @@ DisplacementSolver::Solution DisplacementSolver::solve(const ConstraintGraph& g,
       sol.feasible = false;
     }
   }
-  sol.objective = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = weight.empty() ? 1.0 : weight[i];
-    sol.objective += w * std::abs(x[i] - target[i]);
-  }
+  sol.objective = objective_of(x);
   return sol;
 }
 

@@ -86,19 +86,12 @@ class ConstraintGraph {
 ///   minimize   Σ weight[i] · |x[i] − target[i]|
 ///   subject to x[to] − x[from] ≥ gap for each arc, bounds per node.
 ///
-/// solve() refines topologically ordered projection sweeps from both a
-/// forward and a backward feasible start. By default the refinement is
-/// *worklist-scheduled*: after the first (full) round, only nodes whose
-/// incoming slack or target changed since their last projection are
-/// re-projected, tight clusters are re-clumped by flooding outward from
-/// the nodes that actually moved, and chains that keep moving as one
-/// rigid unit are *banked* into a single solved super-node (see
-/// docs/ARCHITECTURE.md "Worklist scheduling & the tolerance
-/// contract"). The historical full-graph sweeps are retained
-/// bit-identical behind Options::full_sweep_baseline as the
-/// differential/perf oracle. dual_lower_bound() prices the LP dual as
-/// a min-cost flow (Tang et al.-style; paper: "dual min-cost flow
-/// algorithms") and is used by the tests to certify solution quality.
+/// solve() refines two feasible starts — the tightest-lower (forward)
+/// and tightest-upper (backward) points — with full topological
+/// projection sweeps plus tight-cluster clump moves, and keeps the
+/// better result. dual_lower_bound() prices the LP dual as a min-cost
+/// flow (Tang et al.-style; paper: "dual min-cost flow algorithms")
+/// and is used by the tests to certify solution quality.
 class DisplacementSolver {
  public:
   struct Solution {
@@ -111,76 +104,19 @@ class DisplacementSolver {
     /// still verified against `feasible` below, but not a certified
     /// local optimum, and callers must not treat the stall as one.
     bool converged{false};
-    int sweeps_used{0};
-    long long nodes_relaxed{0};  ///< individual projections recomputed
-    int clusters_shifted{0};     ///< rigid clump/bank moves applied
-    int banks_formed{0};
-    int debanks{0};
-    /// Smallest body count (free nodes + live banks) the scheduler saw;
-    /// n when banking never engaged.
-    int min_bodies{0};
+    int sweeps_used{0};  ///< summed over the refinements run
   };
 
   /// Which feasible start(s) a solve refines. The projection
-  /// refinement is init-dependent; kBoth hedges by refining from both
-  /// the tightest-lower (forward) and tightest-upper (backward)
-  /// feasible points and keeping the better objective — the historical
-  /// behavior and the default. kForward/kBackward run exactly one
-  /// refinement; a caller that runs both variants itself (e.g. on two
-  /// pool lanes, as the macro legalizer does) reproduces kBoth's pick
-  /// by comparing objectives with ties to forward. kAuto refines only
-  /// the init whose own objective (distance to targets) is lower —
-  /// the feasible start nearest the targets empirically converges to
-  /// the better fixed point, at half the cost of kBoth; the
-  /// differential tests tripwire the cases where the heuristic picks
-  /// the worse basin.
-  enum class Start { kBoth, kForward, kBackward, kAuto };
+  /// refinement is init-dependent; kBoth refines from both the
+  /// forward and the backward start and keeps the better objective
+  /// (ties to forward). kForward/kBackward run exactly one refinement.
+  enum class Start { kBoth, kForward, kBackward };
 
   struct Options {
-    int max_sweeps = 64;
+    int max_sweeps = 64;  ///< per refinement
     double convergence_eps = 1e-9;
     Start start = Start::kBoth;
-
-    /// Tolerance contract for the worklist scheduler. A node's
-    /// accumulated movement since it last broadcast must exceed
-    /// `dirty_eps` before its neighbours are re-dirtied; smaller moves
-    /// are remembered (they keep adding up per node) but do not
-    /// propagate. This hysteresis is what keeps fp-dust — projections
-    /// that shift a position by an ulp or two — from re-dirtying
-    /// neighbourhoods forever, the exact failure that forced the PR 5
-    /// active-set revert. Contract (enforced by clamping at solve()):
-    ///   convergence_eps <= dirty_eps <= kFeasEps / 2 (kFeasEps = 1e-7)
-    /// The lower bound keeps the worklist fixed point at least as
-    /// tight as the convergence test; the upper bound caps the stale
-    /// slack a clean node can carry at half the feasibility tolerance,
-    /// so hysteresis can never mask a real violation.
-    double dirty_eps = 1e-8;
-
-    /// Run the historical full-graph forward/backward sweeps instead
-    /// of the worklist scheduler — bit-identical to the pre-worklist
-    /// solver, retained as the differential and perf-guard oracle.
-    bool full_sweep_baseline = false;
-
-    /// Cluster banking: a tight component that moved as one rigid unit
-    /// for `bank_patience` consecutive scheduled rounds collapses into
-    /// a single solved super-node. Its weighted-median residual and
-    /// rigid shift range are folded exactly at formation, so a banked
-    /// move costs O(external arcs) instead of O(component). The bank
-    /// debanks the moment external pressure would have to change one
-    /// of its internal arc slacks, and all banks dissolve for a final
-    /// verification round before convergence is declared.
-    bool banking = true;
-    int bank_patience = 3;
-
-    /// Cap on how many atoms a single chained-clump move may absorb
-    /// before the component is re-priced from scratch next round.
-    /// Unlimited chaining can over-merge across a clamped boundary arc
-    /// and settle in a slightly worse basin; a small budget keeps the
-    /// merge order close to the baseline's one-component-at-a-time
-    /// sort-scan. <= 0 means unlimited. 256 is the measured knee on
-    /// the paper topologies (quality within 0.1% of baseline at the
-    /// full worklist speedup).
-    int chain_budget = 256;
   };
 
   DisplacementSolver() = default;

@@ -192,7 +192,6 @@ MacroLegalizeResult MacroLegalizer::legalize(QuantumNetlist& nl) const {
   // Try spacings from stringent to the hard floor (greedy relaxation).
   double spacing = std::max(opt_.start_spacing, opt_.min_spacing);
   std::vector<PairConstraint> pairs;
-  DisplacementSolver solver;
   std::vector<double> tx(static_cast<std::size_t>(n));
   std::vector<double> ty(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -316,14 +315,7 @@ MacroLegalizeResult MacroLegalizer::legalize(QuantumNetlist& nl) const {
 
   if (!solved) return result;  // success stays false; caller may fall back
 
-  // Solver telemetry, aggregated over both axes of the final solve.
   result.solver_converged = sol_x.converged && sol_y.converged;
-  result.solver_sweeps = std::max(sol_x.sweeps_used, sol_y.sweeps_used);
-  result.solver_nodes_relaxed = sol_x.nodes_relaxed + sol_y.nodes_relaxed;
-  result.solver_clusters_shifted = sol_x.clusters_shifted + sol_y.clusters_shifted;
-  result.solver_banks_formed = sol_x.banks_formed + sol_y.banks_formed;
-  result.solver_debanks = sol_x.debanks + sol_y.debanks;
-  result.solver_min_bodies = std::min(sol_x.min_bodies, sol_y.min_bodies);
 
   // Report the weakest spacing still guaranteed between any pair.
   double spacing_floor = spacing;

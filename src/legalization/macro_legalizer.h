@@ -46,17 +46,9 @@ struct MacroLegalizerOptions {
   /// Qubit count at which the automatic mode starts windowing.
   int auto_window_qubits{150};
 
-  /// Displacement-solver knobs (worklist scheduling, tolerance
-  /// contract, banking; see DisplacementSolver::Options). The
-  /// legalizer defaults `start` to kAuto — one refinement per axis
-  /// from the init nearest the targets — because the differential
-  /// tests pin its quality against the kBoth hedge; set kBoth to
-  /// restore the refine-both-pick-better behaviour at 2× solve cost.
-  DisplacementSolver::Options solver = [] {
-    DisplacementSolver::Options o;
-    o.start = DisplacementSolver::Start::kAuto;
-    return o;
-  }();
+  /// Displacement-solver knobs (sweep budget, convergence threshold,
+  /// feasible starts; see DisplacementSolver::Options).
+  DisplacementSolver::Options solver{};
 };
 
 struct MacroLegalizeResult {
@@ -66,18 +58,10 @@ struct MacroLegalizeResult {
   double max_displacement{0.0};
   int axis_flips{0};
   int relaxations{0};  ///< how many times spacing had to be lowered
-  /// Solver telemetry aggregated over both axes of the final solve.
-  /// `solver_converged` false means at least one axis stalled at
-  /// max_sweeps — the layout is still verified feasible, but the
-  /// solve is not a certified fixed point (satellite: the silent
-  /// stall used to be indistinguishable from convergence).
+  /// False when at least one axis of the final solve stalled at
+  /// max_sweeps — the layout is still verified feasible, but the solve
+  /// is not a certified fixed point.
   bool solver_converged{true};
-  int solver_sweeps{0};             ///< max sweeps_used across axes
-  long long solver_nodes_relaxed{0};
-  int solver_clusters_shifted{0};
-  int solver_banks_formed{0};
-  int solver_debanks{0};
-  int solver_min_bodies{0};  ///< min over axes; n if banking never engaged
 };
 
 class MacroLegalizer {
