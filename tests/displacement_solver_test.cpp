@@ -104,7 +104,7 @@ TEST(DisplacementSolverQuality, PipelineAuditCleanOnPaperTopologies) {
   }
 }
 
-// ---- fp dust (the PR 5 active-set failure mode) -----------------------
+// ---- fp dust ---------------------------------------------------------
 
 // Gaps that are not exactly representable make every projection land
 // with an ulp or two of dust. The convergence test must still trip in
